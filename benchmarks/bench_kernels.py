@@ -63,7 +63,7 @@ def test_hash_unsorted_faster_than_sorted(benchmark, er_mats):
     assert not result.matrix.sorted
 
 
-@pytest.mark.parametrize("executor", ["thread", "process", "shm"])
+@pytest.mark.parametrize("executor", ["thread", "shm"])
 def test_parallel_hash(benchmark, er_mats, executor):
     benchmark.group = "spkadd-ER"
     result = benchmark(

@@ -12,7 +12,7 @@ Modes
 ``--quick``
     One ER workload at the ISSUE-1 acceptance point (k=8 matrices,
     m=2^16 rows): every method once per relevant backend, plus the
-    thread/process/shm executor series on the hash kernel, 3 repeats,
+    thread/shm executor series on the hash kernel, 3 repeats,
     best-of.  Finishes in well under a minute — suitable for CI.
 default (no flag)
     Adds the RMAT pattern, a larger k, and thread sweeps.
@@ -128,36 +128,36 @@ def main(argv=None) -> int:
         threads=1, repeats=args.repeats, records=records,
     )
 
-    # Executor series: the same hash/fast workload on every worker-pool
-    # flavour — the shm engine's zero-copy transport vs the pickling
-    # process pool vs the GIL-sharing thread pool.
+    # Executor series: the same hash/fast workload on both worker-pool
+    # flavours — the shm engine's zero-copy transport vs the GIL-sharing
+    # thread pool.
     exec_threads = 4
     print(f"executor series: hash/fast, T={exec_threads}")
-    for executor in ("thread", "process", "shm"):
+    for executor in ("thread", "shm"):
         bench_workload(
             "er_k8_n65536", er, ["hash"],
             threads=exec_threads, repeats=args.repeats, records=records,
             executor=executor, backends=("fast",),
         )
 
-    # Pool-lifecycle series: executor="process" routes through the
+    # Pool-lifecycle series: executor="shm" routes through the
     # persistent pool registry, so only the first call after a teardown
     # pays the forkserver pool spawn.  Pair each cold call (registry
-    # emptied first — the pre-ISSUE-5 per-call cost) with a warm call
-    # reusing the pool the cold call just built; pairing cancels machine
-    # drift out of the ratio.
+    # emptied first — a per-call pool's cost) with a warm call reusing
+    # the pool the cold call just built; pairing cancels machine drift
+    # out of the ratio.
     from repro.parallel.pools import shutdown_pools
 
-    print(f"pool series: hash/fast, cold vs persistent process pool, "
+    print(f"pool series: hash/fast, cold vs persistent shm pool, "
           f"T={exec_threads} (paired)")
     pool_wall = {"cold": float("inf"), "warm": float("inf")}
     for _ in range(max(args.repeats, 5)):
-        shutdown_pools(kind="process")
+        shutdown_pools()
         for leg in ("cold", "warm"):
             t0 = time.perf_counter()
             pool_res = repro.spkadd(
                 er, method="hash", threads=exec_threads,
-                executor="process", backend="fast",
+                executor="shm", backend="fast",
             )
             pool_wall[leg] = min(pool_wall[leg], time.perf_counter() - t0)
     for leg in ("cold", "warm"):
@@ -165,7 +165,7 @@ def main(argv=None) -> int:
             "workload": f"er_k8_n65536_{leg}pool",
             "method": "hash",
             "backend": "fast",
-            "executor": "process",
+            "executor": "shm",
             "threads": exec_threads,
             "wall_s": round(pool_wall[leg], 6),
             "input_nnz": sum(A.nnz for A in er),
@@ -173,7 +173,7 @@ def main(argv=None) -> int:
             "ops": float(pool_res.stats.ops),
             "probes": float(pool_res.stats.probes),
         })
-        print(f"  er_k8_n65536_{leg}pool   hash fast process "
+        print(f"  er_k8_n65536_{leg}pool   hash fast shm "
               f"T={exec_threads} {pool_wall[leg] * 1e3:9.1f} ms")
 
     # Result-placement series: the shm engine's zero-copy default
@@ -538,16 +538,12 @@ def main(argv=None) -> int:
     print(f"\nhash fast-vs-instrumented speedup (k=8, m=2^16): {speedup}x")
 
     shm = wall_of("hash", "fast", threads=4, executor="shm")
-    proc = wall_of("hash", "fast", threads=4, executor="process")
-    shm_speedup = round(proc / shm, 2) if shm and proc else None
-    print(f"hash shm-vs-process executor speedup (k=8, m=2^16, T=4): "
-          f"{shm_speedup}x")
 
     persist_speedup = (
         round(pool_wall["cold"] / pool_wall["warm"], 2)
         if pool_wall["warm"] not in (0, float("inf")) else None
     )
-    print(f"hash process persistent-vs-cold pool speedup (k=8, m=2^16, "
+    print(f"hash shm persistent-vs-cold pool speedup (k=8, m=2^16, "
           f"T={exec_threads}): {persist_speedup}x")
 
     zerocopy_speedup = (
@@ -595,7 +591,7 @@ def main(argv=None) -> int:
           f"(rmat m=2^14, stages={spg_stages}): {spgemm_speedup}x")
 
     payload = {
-        "schema": 8,
+        "schema": 9,
         "preset": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -603,10 +599,9 @@ def main(argv=None) -> int:
         "elapsed_s": round(time.time() - t_start, 1),
         "headline": {
             "hash_fast_vs_instrumented_speedup": speedup,
-            "hash_shm_vs_process_speedup": shm_speedup,
             "hash_shm_float32_vs_float64_speedup": f32_speedup,
             "hash_shm_int32_vs_int64_index_speedup": idx_speedup,
-            "hash_process_persistent_vs_cold_pool_speedup": persist_speedup,
+            "hash_shm_persistent_vs_cold_pool_speedup": persist_speedup,
             "hash_shm_zero_copy_result_speedup": zerocopy_speedup,
             "resilience_overhead_ratio": resilience_ratio,
             "gateway_microbatch_vs_per_request_speedup": gateway_speedup,

@@ -296,13 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="accumulation engine for hash-family methods "
                         "(auto = REPRO_BACKEND env var, then 'fast')")
     d.add_argument("--executor",
-                   choices=["auto", "thread", "process", "shm", "serial"],
+                   choices=["auto", "thread", "shm", "serial"],
                    default="auto",
                    help="worker pool flavour when --threads > 1: thread, "
-                        "process (pickled chunks), shm (zero-copy "
-                        "shared memory), or serial (in-process loop, the "
-                        "fallback floor); auto = REPRO_EXECUTOR env var, "
-                        "then 'thread'")
+                        "shm (zero-copy shared memory), or serial "
+                        "(in-process loop, the fallback floor); auto = "
+                        "REPRO_EXECUTOR env var, then 'thread'")
     d.add_argument("--threads", type=_positive_int, default=1)
     d.add_argument("--deadline", type=float, default=None,
                    help="per-call time budget in seconds for parallel "
@@ -377,11 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threads", type=_positive_int, default=2,
                    help="worker count of the gateway's kernel calls")
     s.add_argument("--executor",
-                   choices=["thread", "process", "shm", "serial"],
+                   choices=["thread", "shm", "serial"],
                    default="shm",
                    help="executor for the gateway's kernel calls; shm "
-                        "and process pre-boot a dedicated pool pinned "
-                        "against registry eviction")
+                        "pre-boots a dedicated pool pinned against "
+                        "registry eviction")
     s.add_argument("--small-nnz", type=int, default=1 << 15,
                    help="requests at or under this summed input nnz are "
                         "micro-batched into one fused high-k call")

@@ -10,9 +10,8 @@ threads with the paper's load-balancing rule).  ``backend`` selects the
 accumulation engine for the hash-family methods — ``"fast"``
 (sort/reduce, the production default) or ``"instrumented"`` (the
 paper-faithful probing table that produces slot-op/probe/cache stats) —
-and ``executor="process"`` / ``executor="shm"`` swaps the thread pool
-for a process pool (pickled chunks) or the zero-copy shared-memory
-engine (``REPRO_EXECUTOR`` overrides the default).
+and ``executor="shm"`` swaps the thread pool for the zero-copy
+shared-memory engine (``REPRO_EXECUTOR`` overrides the default).
 """
 
 from __future__ import annotations
@@ -155,17 +154,17 @@ def spkadd(
         with ``ValueError``.
     executor:
         ``"thread"`` (shared-memory pool; NumPy kernels release the GIL),
-        ``"process"`` (a ``ProcessPoolExecutor`` that sidesteps the
-        GIL entirely; column chunks are shipped as pickled views), or
-        ``"shm"`` (the zero-copy ``multiprocessing.shared_memory``
-        engine: inputs published once, output scattered into one
-        symbolically sized shared buffer — see
-        :mod:`repro.parallel.shm`).  ``None`` (or ``"auto"``) consults
-        the ``REPRO_EXECUTOR`` environment variable and then defaults to
-        ``"thread"``.  Only consulted when ``threads > 1``.  Both
-        process-based executors draw persistent workers from the pool
-        registry (:mod:`repro.parallel.pools`), so repeated calls reuse
-        warm workers; ``repro.shutdown_pools()`` releases them.
+        ``"shm"`` (worker processes that sidestep the GIL entirely, fed
+        by the zero-copy ``multiprocessing.shared_memory`` engine:
+        inputs published once, output scattered into one symbolically
+        sized shared buffer — see :mod:`repro.parallel.shm`), or
+        ``"serial"`` (an in-process loop, the fallback floor).  ``None``
+        (or ``"auto"``) consults the ``REPRO_EXECUTOR`` environment
+        variable and then defaults to ``"thread"``.  Only consulted when
+        ``threads > 1``.  The shm engine draws persistent workers from
+        the pool registry (:mod:`repro.parallel.pools`), so repeated
+        calls reuse warm workers; ``repro.shutdown_pools()`` releases
+        them.
     value_dtype:
         Optional override of the value dtype the sum is computed (and
         returned) in.  ``None`` preserves the inputs: the output dtype
@@ -200,7 +199,7 @@ def spkadd(
         copies the result into private memory before the segment is
         unlinked (the pre-zero-copy contract; ``matrix.materialize()``
         converts after the fact).  Ignored by the serial path and the
-        thread/process executors, whose results are always private.
+        thread executor, whose results are always private.
     deadline:
         Per-call time budget in seconds (parallel calls only).  Expiry
         raises :class:`~repro.parallel.resilience.DeadlineExceeded`,

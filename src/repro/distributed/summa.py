@@ -85,8 +85,8 @@ class ExecutionPlan:
         ``REPRO_BACKEND`` and then defaults to ``"instrumented"`` — the
         paper-faithful engine whose statistics feed the timing model.
     executor:
-        Merge-stage executor (``"serial"``/``"thread"``/``"process"``/
-        ``"shm"``; ``None``/``"auto"`` consults ``REPRO_EXECUTOR``).
+        Merge-stage executor (``"serial"``/``"thread"``/``"shm"``;
+        ``None``/``"auto"`` consults ``REPRO_EXECUTOR``).
         Consulted only when ``threads > 1``, like :func:`repro.spkadd`.
     threads:
         Workers per merge call (``parallel_spkadd`` fan-out).
@@ -447,8 +447,8 @@ def _run_pipelined(
     GIL).  With ``overlap``, each rank's merge is submitted through
     :func:`~repro.parallel.executor.submit_spkadd` the moment its last
     stage product lands, so the multiplies of the following ranks
-    overlap the merges executing on the worker pools.  Multiprocess
-    merge executors are **reservation-pinned** for the whole run (the
+    overlap the merges executing on the worker pools.  The shm merge
+    executor's pool is **reservation-pinned** for the whole run (the
     gateway's pattern): all concurrent rank merges share one warm pool
     that LRU eviction cannot touch mid-run.
     """
@@ -457,11 +457,8 @@ def _run_pipelined(
 
     with ExitStack() as stack:
         if plan.threads > 1:
-            kind = resolve_executor(plan.executor)
-            if kind in ("process", "shm"):
-                stack.enter_context(
-                    reserve_pool(kind, plan.threads, deadline=dl)
-                )
+            if resolve_executor(plan.executor) == "shm":
+                stack.enter_context(reserve_pool(plan.threads, deadline=dl))
         rank_pool = stack.enter_context(
             ThreadPoolExecutor(
                 max_workers=plan.rank_parallelism,

@@ -197,7 +197,7 @@ KNOBS: Dict[str, Knob] = {
             default=None,
             value_type="str | None",
             description=(
-                "Default executor ('serial', 'thread', 'process', 'shm') "
+                "Default executor ('serial', 'thread', 'shm') "
                 "when no executor= argument is given; validated by "
                 "parallel.executor.resolve_executor, whose error names "
                 "this variable as the source."
@@ -209,9 +209,9 @@ KNOBS: Dict[str, Knob] = {
             default=None,
             value_type="str | None",
             description=(
-                "Multiprocessing start method override ('forkserver' "
-                "default; 'fork' / 'spawn' to override). Validated by "
-                "multiprocessing.get_context."
+                "Start method of the shm engine's worker pools "
+                "('forkserver' default; 'fork' / 'spawn' to override). "
+                "Validated by multiprocessing.get_context."
             ),
         ),
         Knob(
@@ -241,7 +241,7 @@ KNOBS: Dict[str, Knob] = {
             value_type="tuple[str, ...] | None",
             description=(
                 "Degradation chain control: 'auto'/unset = full "
-                "shm->process->thread->serial chain, 'off' disables "
+                "shm->thread->serial chain, 'off' disables "
                 "fallback, a comma list restricts the allowed stages."
             ),
         ),

@@ -411,8 +411,8 @@ class CompressedBase:
         # The arrays pickle by value, so a transported matrix owns
         # private memory — drop the (unpicklable, segment-bound)
         # buffer_owner rather than serializing it.  This is what lets a
-        # zero-copy shm result be pickled, cached, or fed back through
-        # the process executor's chunk transport.
+        # zero-copy shm result be pickled, cached, or shipped to
+        # another process.
         return {
             "shape": self.shape,
             "indptr": self.indptr,

@@ -470,7 +470,7 @@ class DeadlineThreading(Rule):
         "lease_pool",
         "reserve_pool",
         "collect_resilient",
-        "collect_fail_fast",
+        "run_wave",
         "shm_parallel_run",
         "parallel_spkadd",
         "wait",
@@ -482,7 +482,7 @@ class DeadlineThreading(Rule):
         "lease_pool",
         "reserve_pool",
         "collect_resilient",
-        "collect_fail_fast",
+        "run_wave",
         "shm_parallel_run",
         "parallel_spkadd",
         "mp_context",

@@ -9,7 +9,7 @@ hash table) and a disjoint set of columns.  This subpackage provides
 * :mod:`~repro.parallel.scheduler` — static and dynamic (by-nnz)
   column schedules, the paper's load-balancing rule (Section III-A:
   input nnz weights the symbolic phase, output nnz the addition phase);
-* :mod:`~repro.parallel.executor` — real thread/process/shared-memory
+* :mod:`~repro.parallel.executor` — real thread/shared-memory/serial
   executors over column blocks, and a *simulated* executor that turns
   per-column work vectors into per-thread makespans for the scaling
   study (Fig 3);
@@ -18,11 +18,12 @@ hash table) and a disjoint set of columns.  This subpackage provides
   attach handles, the two-wave compute/scatter engine, and zero-copy
   result ownership (:class:`~repro.parallel.shm.SharedResultOwner`);
 * :mod:`~repro.parallel.pools` — the persistent worker-pool registry
-  both process-based executors draw from
+  the shm engine draws from
   (:func:`~repro.parallel.pools.shutdown_pools` tears it down);
 * :mod:`~repro.parallel.resilience` — the resilient-execution policy
-  (chunk retry, per-call deadlines, the ``shm → process → thread →
-  serial`` fallback chain) every parallel call runs under;
+  (chunk retry, per-call deadlines, the ``shm → thread → serial``
+  fallback chain) every parallel call runs under, and ``run_wave``,
+  the one retry loop every stage submits through;
 * :mod:`~repro.parallel.faults` — env/API-driven fault injection
   (worker kills, chunk delays, scatter failures, ENOSPC, boot hangs)
   for the chaos suite and for embedders validating their own

@@ -1,32 +1,26 @@
-"""Executors: thread/process column parallelism + simulated scaling.
+"""Executors: thread/shm column parallelism + simulated scaling.
 
 ``parallel_spkadd`` runs any SpKAdd method over column chunks on a
 worker pool — the paper's synchronization-free scheme (each worker gets
-column views of every addend and a private accumulator).  Two pool
-flavours:
+column views of every addend and a private accumulator).  Three
+executors:
 
 ``executor="thread"``
     ``ThreadPoolExecutor`` over zero-copy column views (CSC keeps
     columns contiguous).  NumPy kernels release the GIL for large array
     operations, so real (if modest, in Python) speedups are observed.
 
-``executor="process"``
-    ``ProcessPoolExecutor``; column chunks are shipped to workers as
-    pickled views (the pickle materializes each chunk's slice) and
-    results are stitched back with the same ``_concat_results``.  This
-    sidesteps the GIL entirely, which matters for the instrumented
-    backend whose probing rounds are Python-bound.  The pool is
-    **persistent**: calls route through the registry in
-    :mod:`repro.parallel.pools`, so repeated calls reuse warm forkserver
-    workers instead of paying a pool spawn per call
-    (:func:`repro.parallel.pools.shutdown_pools` releases them).
-
 ``executor="shm"``
     The zero-copy shared-memory engine (:mod:`repro.parallel.shm`):
     inputs are published to ``multiprocessing.shared_memory`` segments
     once, a symbolic sizing pass determines the exact output layout, and
     workers scatter their chunks straight into one preallocated shared
-    CSC buffer — no per-chunk pickling, no gather concatenate.
+    CSC buffer — no per-chunk pickling, no gather concatenate.  Its
+    worker processes sidestep the GIL (which matters for the
+    instrumented backend, whose probing rounds are Python-bound) and
+    are **persistent**: they come from the registry in
+    :mod:`repro.parallel.pools`, so repeated calls reuse warm forkserver
+    workers (:func:`repro.parallel.pools.shutdown_pools` releases them).
 
 ``executor="serial"``
     The degenerate pool: chunks run in a plain in-process loop.  Exists
@@ -42,8 +36,9 @@ whose worker dies are retried on a rebuilt pool (bounded, with
 backoff), a per-call ``deadline=`` / ``REPRO_DEADLINE`` bounds the
 whole call, and an executor found *unusable* (boot timeout, retry
 budget exhausted, ``/dev/shm`` full) degrades down the chain
-``shm → process → thread → serial`` with a one-shot warning
-(``REPRO_FALLBACK`` controls the chain).
+``shm → thread → serial`` with a one-shot warning (``REPRO_FALLBACK``
+controls the chain).  Every stage runs its tasks through the one retry
+loop, :func:`~repro.parallel.resilience.run_wave`.
 
 The *shape* of scaling behaviour at paper fidelity comes from
 ``simulate_parallel_time``, which the machine cost model uses for Fig 3.
@@ -51,13 +46,13 @@ The *shape* of scaling behaviour at paper fidelity comes from
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,14 +69,10 @@ _TWO_PHASE = {"hash", "sliding_hash"}
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
 
 #: names accepted by ``executor=``.
-EXECUTORS = ("thread", "process", "shm", "serial")
-
-#: executors whose workers run in separate processes; they all reject
-#: ``trace_sink`` (worker-side appends never reach the caller's list).
-MULTIPROCESS_EXECUTORS = frozenset({"process", "shm"})
+EXECUTORS = ("thread", "shm", "serial")
 
 #: environment variable overriding the multiprocessing start method of
-#: both process-based executors (``fork`` / ``forkserver`` / ``spawn``).
+#: the shm engine's worker pools (``fork`` / ``forkserver`` / ``spawn``).
 MP_START_ENV_VAR = "REPRO_MP_START"
 
 
@@ -186,7 +177,7 @@ def _ensure_forkserver_running(deadline=None) -> None:
         raise PoolBootTimeout(
             f"fork server did not boot within {bounded:.1f}s "
             f"({BOOT_TIMEOUT_HINT})",
-            executor="process",
+            executor="shm",
         )
     if boot_error:
         raise boot_error[0]
@@ -198,11 +189,11 @@ BOOT_TIMEOUT_HINT = "REPRO_BOOT_TIMEOUT overrides the bound"
 
 
 def mp_context(deadline=None):
-    """Multiprocessing context for the process-based executors.
+    """Multiprocessing context for the shm engine's worker pools.
 
     Defaults to ``forkserver`` where available: a bare ``fork`` from a
     process that also runs thread pools (exactly what a mixed
-    thread/process SpKAdd workload does) can fork while another thread
+    thread/shm SpKAdd workload does) can fork while another thread
     holds a lock, deadlocking the child — the rare CI hang observed in
     PR 3.  The fork server is single-threaded, so its forks are safe;
     workers still share pages with it (cheap startup), unlike ``spawn``.
@@ -218,8 +209,8 @@ def mp_context(deadline=None):
     if name == "forkserver":
         # Preload this module (transitively numpy + the repro core) in
         # the fork server, so each worker forks from a warm interpreter
-        # instead of re-importing the stack — without this, a fresh
-        # per-call process pool pays ~1s of import per worker.
+        # instead of re-importing the stack — without this, every fresh
+        # pool pays ~1s of import per worker.
         ctx.set_forkserver_preload(["repro.parallel.executor"])
         _ensure_forkserver_running(deadline)
     return ctx
@@ -314,8 +305,8 @@ def _run_chunk(
     sorted_output: bool,
     kwargs: dict,
 ) -> Tuple[int, CSCMatrix, KernelStats, Optional[KernelStats]]:
-    """Execute one column chunk.  Module-level so it pickles for the
-    process pool; the thread pool calls it directly."""
+    """Execute one column chunk (every stage's kernel entry point; the
+    shm workers call it on their attached views)."""
     from repro.core.api import _REGISTRY
 
     runner = _REGISTRY[method]
@@ -329,11 +320,12 @@ def _run_chunk(
     return j0, out, st, None
 
 
-def _run_chunk_faulted(fault, method, j0, views, sorted_output, kwargs):
-    """:func:`_run_chunk` behind an injection point — submitted instead
-    of the plain runner when the call's fault plan targets this chunk."""
+def _chunk(task):
+    """A thread/serial stage task: apply the fault the plan shipped
+    with it, then run :func:`_run_chunk`."""
     from repro.parallel.faults import apply_chunk_fault
 
+    fault, method, j0, views, sorted_output, kwargs = task
     apply_chunk_fault(fault)
     return _run_chunk(method, j0, views, sorted_output, kwargs)
 
@@ -359,159 +351,46 @@ def _warn_fallback(from_stage: str, to_stage: str, err) -> None:
     )
 
 
-def _submit_chunk(pool, mats, method, ranges, i, sorted_output, kwargs, plan,
-                  *, can_kill):
-    """Submit chunk ``i`` of ``ranges`` to ``pool``, attaching any fault
-    the plan holds for it (faults are consumed: a retried chunk comes
-    back clean)."""
-    j0, j1 = ranges[i]
-    views = [A.col_view(j0, j1) for A in mats]
-    fault = (
-        plan.take_chunk_fault(i, can_kill=can_kill)
-        if plan is not None else None
-    )
-    if fault:
-        return pool.submit(
-            _run_chunk_faulted, fault, method, j0, views, sorted_output,
-            kwargs,
-        )
-    return pool.submit(_run_chunk, method, j0, views, sorted_output, kwargs)
+class _InlineSubmitter:
+    """The serial floor's pool: ``submit`` runs the task on the
+    caller's thread and returns an already-resolved future, so the
+    floor needs no threads.  The deadline is checked before every task
+    (a running kernel cannot be interrupted), and once a task fails the
+    rest of the attempt comes back cancelled, as a real pool cancels
+    the queued siblings of a failed chunk."""
+
+    def __init__(self, deadline) -> None:
+        self._deadline = deadline
+        self._failed = False
+
+    def submit(self, fn, task) -> Future:
+        fut: Future = Future()
+        if self._failed:
+            fut.cancel()
+            fut.set_running_or_notify_cancel()
+            return fut
+        self._deadline.check("serial chunk execution")
+        try:
+            fut.set_result(fn(task))
+        except Exception as err:
+            self._failed = True
+            fut.set_exception(err)
+        return fut
 
 
-def _process_chunks(mats, method, ranges, *, sorted_output, kwargs, threads,
-                    policy, deadline, plan):
-    """Chunk execution on the persistent pickling process pool, with
-    chunk-level retry: a wave interrupted by a dead worker keeps its
-    completed results, discards the poisoned pool, and re-submits only
-    the unfinished chunks to a rebuilt one."""
-    from repro.parallel.pools import discard_pool, lease_pool, pool_is_broken
-    from repro.parallel.resilience import RetriesExhausted, collect_resilient
-
-    results: dict = {}
-    pending = list(range(len(ranges)))
-    attempt = 0
-    while pending:
-        deadline.check("process-pool chunk execution")
-        transient = None
-        with lease_pool("process", threads, deadline=deadline) as pool:
-            try:
-                futures = {
-                    i: _submit_chunk(
-                        pool, mats, method, ranges, i, sorted_output,
-                        kwargs, plan, can_kill=True,
-                    )
-                    for i in pending
-                }
-                got, pending, transient = collect_resilient(
-                    futures, deadline=deadline
-                )
-                results.update(got)
-            except BrokenProcessPool as err:
-                # The pool broke at submit time (poisoned by an earlier
-                # wave): everything outstanding is retryable.
-                transient = err
-                pending = [i for i in pending if i not in results]
-            finally:
-                if pool_is_broken(pool):
-                    # Drop the corpse so the next lease forks clean.
-                    discard_pool(pool)
-        if pending:
-            attempt += 1
-            if attempt > policy.max_retries:
-                raise RetriesExhausted(
-                    f"process executor: {len(pending)} chunk(s) still "
-                    f"failing transiently after {policy.max_retries} "
-                    "retries",
-                    executor="process",
-                ) from transient
-            from repro.parallel.shm import sweep_orphans
-
-            sweep_orphans()
-            deadline.sleep(policy.backoff_s(attempt))
-    return [results[i] for i in range(len(ranges))]
-
-
-def _thread_chunks(mats, method, ranges, *, sorted_output, kwargs, threads,
-                   policy, deadline, plan):
-    """Chunk execution on a thread pool.  Threads cannot crash like
-    workers, but injected transients are retried and the deadline is
-    enforced on every wait — the default executor honours
-    ``REPRO_DEADLINE`` too."""
-    from repro.parallel.resilience import RetriesExhausted, collect_resilient
-
-    results: dict = {}
-    pending = list(range(len(ranges)))
-    attempt = 0
+@contextlib.contextmanager
+def _thread_pool(threads: int):
+    """A per-call thread pool.  On error it is shut down without
+    joining: a delayed chunk must not hold a DeadlineExceeded past the
+    deadline; chunks still running finish on their own and are
+    discarded."""
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
-        while pending:
-            deadline.check("thread-pool chunk execution")
-            futures = {
-                i: _submit_chunk(
-                    pool, mats, method, ranges, i, sorted_output, kwargs,
-                    plan, can_kill=False,
-                )
-                for i in pending
-            }
-            got, pending, transient = collect_resilient(
-                futures, deadline=deadline
-            )
-            results.update(got)
-            if pending:
-                attempt += 1
-                if attempt > policy.max_retries:
-                    raise RetriesExhausted(
-                        f"thread executor: {len(pending)} chunk(s) still "
-                        f"failing transiently after {policy.max_retries} "
-                        "retries",
-                        executor="thread",
-                    ) from transient
-                deadline.sleep(policy.backoff_s(attempt))
+        yield pool
     except BaseException:
-        # Do not join chunks still running (a delayed chunk must not
-        # hold a DeadlineExceeded past the deadline); they finish on
-        # daemonless pool threads and are discarded.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
     pool.shutdown(wait=True)
-    return [results[i] for i in range(len(ranges))]
-
-
-def _serial_chunks(mats, method, ranges, *, sorted_output, kwargs,
-                   policy, deadline, plan):
-    """The fallback floor: chunks run in-process, one after another.
-    No pool exists to break; injected transients are retried in place
-    and the deadline is checked between chunks (a running kernel cannot
-    be interrupted)."""
-    from repro.parallel.faults import InjectedFault, apply_chunk_fault
-    from repro.parallel.resilience import RetriesExhausted
-
-    results = []
-    for i, (j0, j1) in enumerate(ranges):
-        views = [A.col_view(j0, j1) for A in mats]
-        attempt = 0
-        while True:
-            deadline.check("serial chunk execution")
-            fault = (
-                plan.take_chunk_fault(i, can_kill=False)
-                if plan is not None else None
-            )
-            try:
-                apply_chunk_fault(fault)
-                results.append(
-                    _run_chunk(method, j0, views, sorted_output, kwargs)
-                )
-                break
-            except InjectedFault as err:
-                attempt += 1
-                if attempt > policy.max_retries:
-                    raise RetriesExhausted(
-                        f"serial executor: chunk {i} still failing "
-                        f"transiently after {policy.max_retries} retries",
-                        executor="serial",
-                    ) from err
-                deadline.sleep(policy.backoff_s(attempt))
-    return results
 
 
 def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
@@ -533,20 +412,34 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
             policy=policy, deadline=deadline, fault_plan=plan,
         )
         return out, stat_items, None
-    common = dict(
-        sorted_output=sorted_output, kwargs=kwargs,
-        policy=policy, deadline=deadline, plan=plan,
-    )
-    if stage == "process":
-        results = _process_chunks(
-            mats, method, ranges, threads=threads, **common
+    from repro.parallel.resilience import run_wave
+
+    def make_task(i):
+        # Thread and serial chunks run in the caller's process, where a
+        # kill directive degrades to an in-chunk InjectedFault.
+        j0, j1 = ranges[i]
+        fault = (
+            plan.take_chunk_fault(i, can_kill=False)
+            if plan is not None else None
         )
-    elif stage == "thread":
-        results = _thread_chunks(
-            mats, method, ranges, threads=threads, **common
+        views = [A.col_view(j0, j1) for A in mats]
+        return fault, method, j0, views, sorted_output, kwargs
+
+    def wave(lease, label):
+        return run_wave(
+            lease, _chunk, make_task, len(ranges),
+            policy=policy, deadline=deadline, label=label,
         )
+
+    if stage == "thread":
+        with _thread_pool(threads) as pool:
+            results = wave(lambda: contextlib.nullcontext(pool),
+                           "thread chunk")
     else:
-        results = _serial_chunks(mats, method, ranges, **common)
+        results = wave(
+            lambda: contextlib.nullcontext(_InlineSubmitter(deadline)),
+            "serial chunk",
+        )
     stat_items = [(j0, st, st_sym) for j0, _, st, st_sym in results]
     parts = [(j0, sub) for j0, sub, _, _ in results]
     return None, stat_items, parts
@@ -570,14 +463,14 @@ def parallel_spkadd(
 
     Columns are divided into ``threads * chunks_per_thread`` contiguous
     chunks of near-equal *input nnz* (the dynamic-balancing weight) and
-    executed on a thread, process, shared-memory, or serial pool
+    executed on a thread, shared-memory, or serial pool
     (``executor=``; ``None``/``"auto"`` consults ``REPRO_EXECUTOR`` then
     uses ``"thread"``).  Per-chunk stats are merged; the result is
     bit-identical to the sequential method.  ``index_dtype`` pins the
     output index width (default: the call-level int32-when-it-fits
     rule, identical to the serial kernels').  ``materialize`` controls
     shm result placement (see :func:`repro.parallel.shm.resolve_shm_results`);
-    the thread and process executors always return private arrays.
+    the thread and serial executors always return private arrays.
 
     The call runs under a :class:`~repro.parallel.resilience.ResiliencePolicy`
     (``resilience=``, default resolved from the environment): chunks
@@ -585,7 +478,7 @@ def parallel_spkadd(
     ``REPRO_DEADLINE``) bounds the whole call with a typed
     :class:`~repro.parallel.resilience.DeadlineExceeded`, and an
     executor found unusable degrades down the fallback chain
-    ``shm → process → thread → serial`` with a one-shot warning.
+    ``shm → thread → serial`` with a one-shot warning.
     *Deterministic* chunk errors keep PR 5's fail-fast contract: the
     first one cancels everything still queued and propagates
     immediately, on every stage.
@@ -612,7 +505,7 @@ def parallel_spkadd(
             f"chunks_per_thread must be >= 1, got {chunks_per_thread}"
         )
     executor = resolve_executor(executor)
-    if executor in MULTIPROCESS_EXECUTORS and kwargs.get("trace_sink") is not None:
+    if executor == "shm" and kwargs.get("trace_sink") is not None:
         raise ValueError(
             f"trace_sink is not supported with executor={executor!r}: traces "
             "appended in worker processes never reach the caller's list; "

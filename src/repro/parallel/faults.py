@@ -21,7 +21,7 @@ injection points the chaos suite (``tests/test_resilience.py``) drives:
     batch (exercises idempotent re-scatter).
 ``enospc``
     The next shared-segment allocation fails as if ``/dev/shm`` were
-    full (drives the shm → process fallback).
+    full (drives the shm → thread fallback).
 ``boot_hang=SECONDS``
     The forkserver boot sleeps this long before starting (drives
     :class:`~repro.parallel.resilience.PoolBootTimeout`).

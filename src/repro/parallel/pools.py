@@ -1,19 +1,12 @@
 """Persistent worker-pool lifecycle service.
 
-Before this module existed the repo had two pool lifecycles: the shm
-engine (:class:`repro.parallel.shm.SharedMemoryPool`) kept its workers
-alive across calls, while ``executor="process"`` built — and tore down —
-a fresh ``ProcessPoolExecutor`` on *every* ``parallel_spkadd`` call.
-Even with the forkserver's warm-interpreter forks that per-call spawn
-dominates small and medium calls, and it is exactly the cost CombBLAS-
-style systems amortize by keeping worker state resident.
+The shm engine (:class:`repro.parallel.shm.SharedMemoryPool`) keeps its
+workers alive across calls: a per-call pool spawn would dominate small
+and medium calls, and it is exactly the cost CombBLAS-style systems
+amortize by keeping worker state resident.  This module is the registry
+of those **persistent process pools, keyed by ``(threads,
+start-method)``**:
 
-This module unifies both behind one registry of **persistent process
-pools keyed by ``(kind, threads, start-method)``**:
-
-* ``kind`` separates independent consumers (``"process"`` for the
-  pickling executor, ``"shm"`` for the shared-memory engine) so their
-  workers never share task queues;
 * ``threads`` is the worker count — pools of different widths coexist;
 * the start method (``fork``/``forkserver``/``spawn``) comes from the
   multiprocessing context the consumer resolves, so an engine pinned to
@@ -23,19 +16,17 @@ Lifecycle guarantees:
 
 * **Reuse** — :func:`get_pool` returns the same executor for the same
   key until it is discarded, so repeated calls pay the pool spawn once.
-* **Health** — a pool observed broken (``BrokenProcessPool``) is
-  discarded via :func:`discard_pool`; :meth:`PoolRegistry.get` also
-  drops any pool that is already marked broken, so the next call always
-  receives a working pool instead of a poisoned one.
-* **Teardown** — :func:`shutdown_pools` releases every registered pool
-  (optionally filtered by ``kind``); the module registers it with
-  ``atexit`` so embedders who never call it still exit cleanly, and
-  :class:`PoolRegistry` doubles as a context manager for scoped private
-  lifecycles (``with PoolRegistry() as reg: ...``).
-
-:func:`collect_fail_fast` is the shared future-collection policy: the
-first chunk failure cancels everything still queued and propagates
-immediately, instead of draining every sibling future first.
+* **Health** — a pool observed broken (a worker died) is discarded when
+  the lease that saw it ends, and :meth:`PoolRegistry.get` also drops
+  any pool that is already marked broken, so the next call always
+  receives a working pool instead of a poisoned one.  Closing a broken
+  pool never raises: CPython 3.11 can report the dead pool's half-closed
+  pipes as ``OSError``, which the registry absorbs.
+* **Teardown** — :func:`shutdown_pools` releases every registered pool;
+  the module registers it with ``atexit`` so embedders who never call it
+  still exit cleanly, and :class:`PoolRegistry` doubles as a context
+  manager for scoped private lifecycles (``with PoolRegistry() as reg:
+  ...``).
 """
 
 from __future__ import annotations
@@ -43,11 +34,11 @@ from __future__ import annotations
 import atexit
 import contextlib
 import threading
-from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import ProcessPoolExecutor
+from typing import Dict, Optional, Tuple
 
-#: registry key: (consumer kind, worker count, multiprocessing start method).
-PoolKey = Tuple[str, int, str]
+#: registry key: (worker count, multiprocessing start method).
+PoolKey = Tuple[int, str]
 
 
 def pool_is_broken(pool: ProcessPoolExecutor) -> bool:
@@ -60,11 +51,31 @@ def pool_is_broken(pool: ProcessPoolExecutor) -> bool:
     """
     return bool(getattr(pool, "_broken", False))
 
-#: default cap on resident pools per kind: a sweep over worker counts
+
+def _close(
+    pool: ProcessPoolExecutor, *, wait: bool = False, cancel_futures: bool
+) -> None:
+    """Shut ``pool`` down, absorbing the ``OSError`` a broken pool's
+    teardown can raise.
+
+    On CPython 3.11 the manager thread of a pool whose worker died
+    closes the pool's wakeup pipe on its own schedule; a ``shutdown``
+    that races it can fail with ``OSError("handle is closed")``.  The
+    pool is dead either way, so for a broken pool the error means
+    nothing; a healthy pool's errors still propagate.
+    """
+    try:
+        pool.shutdown(wait=wait, cancel_futures=cancel_futures)
+    except OSError:
+        if not pool_is_broken(pool):
+            raise
+
+
+#: default cap on resident pools: a sweep over worker counts
 #: (autotuning, the test suite's thread axes) must not leave one idle
 #: pool per width alive until exit.  Least-recently-used pools beyond
 #: the cap are released; their already-queued work is left to drain.
-DEFAULT_MAX_POOLS_PER_KIND = 2
+DEFAULT_MAX_POOLS = 2
 
 
 class PoolRegistry:
@@ -72,15 +83,13 @@ class PoolRegistry:
 
     Thread-safe; one registry instance owns its pools exclusively.  The
     module-level default registry (reached through :func:`get_pool`)
-    serves both built-in executors; embedders who want an isolated
-    lifecycle can instantiate their own and use it as a context manager.
-    Residency is bounded: at most ``max_pools_per_kind`` pools stay
-    resident per ``kind``, evicted least-recently-used.
+    serves the shm engine; embedders who want an isolated lifecycle can
+    instantiate their own and use it as a context manager.  Residency
+    is bounded: at most ``max_pools`` pools stay resident, evicted
+    least-recently-used.
     """
 
-    def __init__(
-        self, max_pools_per_kind: int = DEFAULT_MAX_POOLS_PER_KIND
-    ) -> None:
+    def __init__(self, max_pools: int = DEFAULT_MAX_POOLS) -> None:
         # dict order doubles as the LRU order: re-inserted on access.
         self._pools: Dict[PoolKey, ProcessPoolExecutor] = {}
         # live lease count per pool object: a leased pool is mid-call
@@ -90,13 +99,13 @@ class PoolRegistry:
         # the releasing lease instead of cancelled mid-call.
         self._doomed: set = set()
         self._lock = threading.Lock()
-        self._max_per_kind = max(int(max_pools_per_kind), 1)
+        self._max_pools = max(int(max_pools), 1)
 
     def get(
-        self, kind: str, threads: int, mp_context=None, *, deadline=None
+        self, threads: int, mp_context=None, *, deadline=None
     ) -> ProcessPoolExecutor:
-        """The persistent pool for ``(kind, threads, start-method)``,
-        created on first use and reused until discarded or evicted.
+        """The persistent pool for ``(threads, start-method)``, created
+        on first use and reused until discarded or evicted.
 
         ``mp_context=None`` resolves the repo default
         (:func:`repro.parallel.executor.mp_context` — forkserver where
@@ -107,20 +116,22 @@ class PoolRegistry:
         LRU eviction for the duration.
         """
         return self._acquire(
-            kind, threads, mp_context, leased=False, deadline=deadline
+            threads, mp_context, leased=False, deadline=deadline
         )
 
     @contextlib.contextmanager
-    def lease(self, kind: str, threads: int, mp_context=None, *, deadline=None):
+    def lease(self, threads: int, mp_context=None, *, deadline=None):
         """Context manager checking the pool out for one call.
 
         While leased, the pool cannot be LRU-evicted by concurrent
         acquisitions of other widths — without this, a caller could see
         its pool shut down between two submit waves and fail with
-        ``RuntimeError`` despite healthy workers.
+        ``RuntimeError`` despite healthy workers.  A pool that broke
+        while leased is discarded on exit, so the next lease forks a
+        clean one.
         """
         pool = self._acquire(
-            kind, threads, mp_context, leased=True, deadline=deadline
+            threads, mp_context, leased=True, deadline=deadline
         )
         try:
             yield pool
@@ -128,16 +139,18 @@ class PoolRegistry:
             # If shutdown() arrived mid-call the releasing lease closes
             # the doomed pool now that the call is over.
             self._release_lease(pool)
+            if pool_is_broken(pool):
+                self.discard(pool)
 
     def _acquire(
-        self, kind, threads, mp_context, *, leased: bool, deadline=None
+        self, threads, mp_context, *, leased: bool, deadline=None
     ) -> ProcessPoolExecutor:
         if mp_context is None:
             # Deferred: executor imports this module.
             from repro.parallel.executor import mp_context as default_context
 
             mp_context = default_context(deadline=deadline)
-        key = (str(kind), int(threads), mp_context.get_start_method())
+        key = (int(threads), mp_context.get_start_method())
         evicted = []
         rebuilt = False
         with self._lock:
@@ -145,7 +158,7 @@ class PoolRegistry:
             if pool is not None and pool_is_broken(pool):
                 # Health rebuild: a crashed worker poisons the whole
                 # executor; hand out a fresh pool, never the corpse.
-                pool.shutdown(wait=False, cancel_futures=True)
+                _close(pool, cancel_futures=True)
                 self._leases.pop(pool, None)
                 pool = None
                 rebuilt = True
@@ -156,9 +169,9 @@ class PoolRegistry:
             self._pools[key] = pool  # (re-)insert at the LRU tail
             if leased:
                 self._leases[pool] = self._leases.get(pool, 0) + 1
-            same_kind = [k for k in self._pools if k[0] == key[0]]
-            excess = len(same_kind) - self._max_per_kind
-            for old_key in same_kind:  # oldest first; `key` is the tail
+            excess = len(self._pools) - self._max_pools
+            # Oldest first; `key` is the tail.
+            for old_key in list(self._pools):
                 if excess <= 0:
                     break
                 old = self._pools[old_key]
@@ -169,7 +182,7 @@ class PoolRegistry:
         for old in evicted:
             # No cancel: futures already submitted to an evicted pool
             # complete — the workers drain the queue and then exit.
-            old.shutdown(wait=False)
+            _close(old, cancel_futures=False)
         if rebuilt:
             # A worker died hard; it may have orphaned shared segments
             # (e.g. the shm engine's scratch mid-write).  Sweep outside
@@ -180,9 +193,9 @@ class PoolRegistry:
         return pool
 
     def reserve(
-        self, kind: str, threads: int, mp_context=None, *, deadline=None
+        self, threads: int, mp_context=None, *, deadline=None
     ) -> "PoolReservation":
-        """A standing lease pinning ``(kind, threads)``'s pool resident.
+        """A standing lease pinning the ``threads``-wide pool resident.
 
         Long-lived consumers — the serve gateway above all — want their
         warm workers to *stay* warm: without a reservation, unrelated
@@ -194,9 +207,7 @@ class PoolRegistry:
         the pool breaks, and :meth:`PoolReservation.release` ends the
         pin (the pool stays registered, just evictable again).
         """
-        return PoolReservation(
-            self, kind, threads, mp_context, deadline=deadline
-        )
+        return PoolReservation(self, threads, mp_context, deadline=deadline)
 
     def _release_lease(self, pool: ProcessPoolExecutor) -> None:
         """Drop one lease count (shared by lease() and reservations)."""
@@ -211,18 +222,18 @@ class PoolRegistry:
             else:
                 self._leases[pool] = n - 1
         if to_close is not None:
-            to_close.shutdown(wait=False)
+            _close(to_close, cancel_futures=False)
 
     def discard(self, pool: ProcessPoolExecutor, *, wait: bool = False) -> None:
         """Drop ``pool`` from the registry and shut it down.
 
-        Call sites use this when they observe ``BrokenProcessPool``; the
-        next :meth:`get` for the key builds a clean replacement.  Safe to
-        call with a pool the registry no longer holds (already replaced).
-        Lease-aware like :meth:`shutdown`: while another call still
-        holds a lease on the pool, it is only unregistered here and
-        closed by the releasing lease — a healthy concurrent call is
-        never cancelled from under its caller.
+        Used for pools observed broken; the next :meth:`get` for the
+        key builds a clean replacement.  Safe to call with a pool the
+        registry no longer holds (already replaced).  Lease-aware like
+        :meth:`shutdown`: while another call still holds a lease on the
+        pool, it is only unregistered here and closed by the releasing
+        lease — a healthy concurrent call is never cancelled from under
+        its caller.
         """
         with self._lock:
             for key, p in list(self._pools.items()):
@@ -232,10 +243,10 @@ class PoolRegistry:
                 self._doomed.add(pool)
                 return
             self._doomed.discard(pool)
-        pool.shutdown(wait=wait, cancel_futures=True)
+        _close(pool, wait=wait, cancel_futures=True)
 
-    def shutdown(self, *, kind: Optional[str] = None, wait: bool = True) -> None:
-        """Release every registered pool (``kind`` filters by consumer).
+    def shutdown(self, *, wait: bool = True) -> None:
+        """Release every registered pool.
 
         Graceful: a pool currently leased by an in-flight call is only
         *unregistered* here — the releasing lease closes it when the
@@ -247,21 +258,16 @@ class PoolRegistry:
         forking their own processes or at service shutdown.
         """
         with self._lock:
-            removed = [
-                (key, pool)
-                for key, pool in self._pools.items()
-                if kind is None or key[0] == kind
-            ]
-            for key, _ in removed:
-                del self._pools[key]
+            removed = list(self._pools.values())
+            self._pools.clear()
             immediate = []
-            for _, pool in removed:
+            for pool in removed:
                 if self._leases.get(pool, 0):
                     self._doomed.add(pool)
                 else:
                     immediate.append(pool)
         for pool in immediate:
-            pool.shutdown(wait=wait, cancel_futures=True)
+            _close(pool, wait=wait, cancel_futures=True)
 
     def active(self) -> Dict[PoolKey, ProcessPoolExecutor]:
         """Snapshot of the live pools (introspection / soak tests)."""
@@ -286,11 +292,10 @@ class PoolReservation:
     """
 
     def __init__(
-        self, registry: PoolRegistry, kind: str, threads: int,
-        mp_context=None, *, deadline=None,
+        self, registry: PoolRegistry, threads: int, mp_context=None, *,
+        deadline=None,
     ) -> None:
         self._registry = registry
-        self._kind = kind
         self._threads = int(threads)
         self._mp_context = mp_context
         self._lock = threading.Lock()
@@ -302,16 +307,15 @@ class PoolReservation:
         from repro.parallel.resilience import PoolLifecycleError
 
         pool = self._registry._acquire(
-            self._kind, self._threads, self._mp_context, leased=True,
-            deadline=deadline,
+            self._threads, self._mp_context, leased=True, deadline=deadline,
         )
         with self._lock:
             if self._closed:
                 # Raced with release(): don't hold a lease forever.
                 self._registry._release_lease(pool)
                 raise PoolLifecycleError(
-                    f"reservation {(self._kind, self._threads)} already "
-                    "released; create a new one with reserve_pool()"
+                    f"reservation of the {self._threads}-worker pool "
+                    "already released; create a new one with reserve_pool()"
                 )
             old, self._pool = self._pool, pool
         if old is not None and old is not pool:
@@ -325,10 +329,6 @@ class PoolReservation:
         if pool is not None and not pool_is_broken(pool):
             return pool
         return self._acquire(deadline=deadline)
-
-    @property
-    def key(self) -> Tuple[str, int]:
-        return (self._kind, self._threads)
 
     def release(self) -> None:
         """End the pin (idempotent); the pool stays registered."""
@@ -347,69 +347,30 @@ class PoolReservation:
         self.release()
 
 
-def collect_fail_fast(futures: Sequence[Future], *, deadline=None) -> List:
-    """Results of ``futures`` in submission order, failing fast.
-
-    Waits with ``FIRST_EXCEPTION``: the moment any future raises, every
-    future still pending is cancelled and the error propagates — the
-    caller does not sit through the surviving chunks before hearing
-    about the poisoned one.  (Chunks already *running* cannot be
-    cancelled; their results are simply never collected.)  ``deadline``
-    (seconds or a :class:`~repro.parallel.resilience.Deadline`) bounds
-    the wait: expiry cancels the stragglers and raises
-    :class:`~repro.parallel.resilience.DeadlineExceeded`.
-    """
-    from repro.parallel.resilience import Deadline, DeadlineExceeded
-
-    deadline = Deadline.resolve(deadline)
-    done, pending = wait(
-        futures, timeout=deadline.remaining(), return_when=FIRST_EXCEPTION
-    )
-    failed = next(
-        (f for f in done if not f.cancelled() and f.exception() is not None),
-        None,
-    )
-    if failed is not None:
-        for f in pending:
-            f.cancel()
-        failed.result()  # re-raises with the worker traceback attached
-    if pending:
-        # No failure and futures left over: the bounded wait timed out.
-        for f in pending:
-            f.cancel()
-        raise DeadlineExceeded(
-            f"deadline of {deadline.seconds}s exceeded waiting on "
-            f"{len(pending)} of {len(futures)} task(s)"
-        )
-    return [f.result() for f in futures]
-
-
-#: the default registry serving ``executor="process"`` and the shm engine.
+#: the default registry serving the shm engine.
 _DEFAULT_REGISTRY = PoolRegistry()
 
 
 def get_pool(
-    kind: str, threads: int, mp_context=None, *, deadline=None
+    threads: int, mp_context=None, *, deadline=None
 ) -> ProcessPoolExecutor:
     """Persistent pool from the default registry (see :class:`PoolRegistry`)."""
-    return _DEFAULT_REGISTRY.get(kind, threads, mp_context, deadline=deadline)
+    return _DEFAULT_REGISTRY.get(threads, mp_context, deadline=deadline)
 
 
-def lease_pool(kind: str, threads: int, mp_context=None, *, deadline=None):
+def lease_pool(threads: int, mp_context=None, *, deadline=None):
     """Check a persistent pool out of the default registry for one call
-    (context manager; pins the pool against LRU eviction — see
-    :meth:`PoolRegistry.lease`)."""
-    return _DEFAULT_REGISTRY.lease(kind, threads, mp_context, deadline=deadline)
+    (context manager; pins the pool against LRU eviction and discards
+    it on exit if it broke — see :meth:`PoolRegistry.lease`)."""
+    return _DEFAULT_REGISTRY.lease(threads, mp_context, deadline=deadline)
 
 
 def reserve_pool(
-    kind: str, threads: int, mp_context=None, *, deadline=None
+    threads: int, mp_context=None, *, deadline=None
 ) -> PoolReservation:
     """Pin a persistent pool in the default registry for a long-lived
     consumer (see :meth:`PoolRegistry.reserve`)."""
-    return _DEFAULT_REGISTRY.reserve(
-        kind, threads, mp_context, deadline=deadline
-    )
+    return _DEFAULT_REGISTRY.reserve(threads, mp_context, deadline=deadline)
 
 
 def discard_pool(pool: ProcessPoolExecutor, *, wait: bool = False) -> None:
@@ -417,14 +378,14 @@ def discard_pool(pool: ProcessPoolExecutor, *, wait: bool = False) -> None:
     _DEFAULT_REGISTRY.discard(pool, wait=wait)
 
 
-def shutdown_pools(*, kind: Optional[str] = None, wait: bool = True) -> None:
-    """Release the default registry's pools (all kinds, or one ``kind``).
+def shutdown_pools(*, wait: bool = True) -> None:
+    """Release the default registry's pools.
 
     The public teardown API: embedders call this at service shutdown,
     before ``os.fork``, or to reclaim idle workers; the next SpKAdd call
     transparently rebuilds what it needs.  Registered with ``atexit``.
     """
-    _DEFAULT_REGISTRY.shutdown(kind=kind, wait=wait)
+    _DEFAULT_REGISTRY.shutdown(wait=wait)
 
 
 def active_pools() -> Dict[PoolKey, ProcessPoolExecutor]:

@@ -19,14 +19,15 @@ substrate survives the failures that substrate will inevitably see:
   the engines' ``finally`` blocks release leases and segments.
 * **graceful degradation** — when an executor is *unusable* (forkserver
   boot timeout, retry budget exhausted, ``/dev/shm`` full) the call
-  falls down an explicit chain ``shm → process → thread → serial`` with
-  a one-shot warning.  ``REPRO_FALLBACK`` selects the stages allowed
-  (or ``off`` to disable); :class:`ExecutorUnusable` is the marker every
+  falls down an explicit chain ``shm → thread → serial`` with a
+  one-shot warning.  ``REPRO_FALLBACK`` selects the stages allowed (or
+  ``off`` to disable); :class:`ExecutorUnusable` is the marker every
   stage raises to hand the call to the next one.
 
-Everything here is engine-agnostic: the executors own their submit
-loops and call :func:`collect_resilient` /
-:meth:`ResiliencePolicy.backoff_s` / :meth:`Deadline.check`.
+:func:`run_wave` is the one submit → collect → retry → backoff loop
+every stage runs its tasks through: the shm engine's compute and
+scatter waves, the thread pool and the serial floor differ only in the
+``lease`` that supplies something with a ``submit`` method.
 """
 
 from __future__ import annotations
@@ -34,9 +35,18 @@ from __future__ import annotations
 import dataclasses
 import random
 import time
-from concurrent.futures import FIRST_EXCEPTION, Future, wait
+from concurrent.futures import FIRST_EXCEPTION, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro import env
 from repro.env import DEFAULT_BOOT_TIMEOUT_S
@@ -62,7 +72,7 @@ BOOT_TIMEOUT_ENV_VAR = "REPRO_BOOT_TIMEOUT"
 #: the degradation chain, most- to least-capable.  Fallback always
 #: moves rightward: an executor only ever degrades toward ``serial``,
 #: whose plain in-process loop has no pool to break.
-FALLBACK_STAGES = ("shm", "process", "thread", "serial")
+FALLBACK_STAGES = ("shm", "thread", "serial")
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +114,7 @@ class ChunkInvariantError(ResilienceError):
     Deterministic by construction (the symbolic bound or resolved dtype
     was wrong, not the worker), so it keeps PR 5's fail-fast contract:
     never retried, never degraded around.  Module-level so it pickles
-    cleanly across the process-pool boundary.
+    cleanly back from the shm engine's worker processes.
     """
 
 
@@ -242,8 +252,8 @@ class ResiliencePolicy:
     def chain_for(self, executor: str) -> Tuple[str, ...]:
         """The degradation chain starting at ``executor``.
 
-        >>> ResiliencePolicy().chain_for("process")
-        ('process', 'thread', 'serial')
+        >>> ResiliencePolicy().chain_for("shm")
+        ('shm', 'thread', 'serial')
         """
         if self.fallback is not None and not self.fallback:
             return (executor,)
@@ -268,8 +278,8 @@ def resolve_policy(
     source so a misconfigured CI leg reads differently from a bad call
     site.  Every knob is validated **eagerly** here, even the ones only
     a later degradation would consume (a bad ``REPRO_BOOT_TIMEOUT``
-    surfaces on the first call of a thread-only run, not mid-fallback
-    when a process pool finally boots) and even when an explicit
+    surfaces on the first call of a thread-only run, not mid-call when
+    the shm pool finally boots) and even when an explicit
     ``policy`` shadows the environment values.
     """
     validate_resilience_env()
@@ -401,6 +411,73 @@ def collect_resilient(
     return results, pending, transient
 
 
+def run_wave(
+    lease: Callable[[], ContextManager[Any]],
+    fn: Callable[[Any], Any],
+    make_task: Callable[[int], Any],
+    n_tasks: int,
+    *,
+    policy: ResiliencePolicy,
+    deadline: Deadline,
+    label: str,
+) -> List[Any]:
+    """Run ``fn(make_task(i))`` for ``i in range(n_tasks)``; results in
+    task order.
+
+    Each attempt enters ``lease()`` — a context manager yielding
+    anything with an executor-style ``submit(fn, arg) -> Future`` —
+    submits every unfinished task and collects with
+    :func:`collect_resilient`.  A wave interrupted by a transient
+    failure keeps its completed results and re-submits only the
+    unfinished tasks on the next attempt's lease, after an orphan sweep
+    and a deadline-bounded backoff.  ``make_task`` is called per
+    *attempt*, so a consumed fault directive is not shipped again with
+    the retried task.  Deterministic errors propagate at once.
+
+    A submit that raises on a pool :func:`~repro.parallel.pools.pool_is_broken`
+    reports as broken is transient too: besides ``BrokenProcessPool``,
+    CPython 3.11 can surface the teardown of a dead worker's pool as an
+    ``OSError`` from a half-closed pipe.  Discarding the broken pool is
+    the lease's job, on exit.
+
+    ``label`` reads ``"<stage> <wave>"`` (e.g. ``"shm compute"``); its
+    first word is the executor named by :class:`RetriesExhausted` once
+    the policy's retry budget is spent.
+    """
+    from repro.parallel import shm
+    from repro.parallel.pools import pool_is_broken
+
+    results: Dict[int, Any] = {}
+    pending = list(range(n_tasks))
+    attempt = 0
+    while pending:
+        deadline.check(f"{label} wave")
+        transient: Optional[BaseException] = None
+        with lease() as pool:
+            try:
+                futures = {i: pool.submit(fn, make_task(i)) for i in pending}
+            except Exception as err:
+                if not pool_is_broken(pool):
+                    raise
+                transient = err
+            else:
+                got, pending, transient = collect_resilient(
+                    futures, deadline=deadline
+                )
+                results.update(got)
+        if pending:
+            attempt += 1
+            if attempt > policy.max_retries:
+                raise RetriesExhausted(
+                    f"{label}: {len(pending)} task(s) still failing "
+                    f"transiently after {policy.max_retries} retries",
+                    executor=label.split()[0],
+                ) from transient
+            shm.sweep_orphans()
+            deadline.sleep(policy.backoff_s(attempt))
+    return [results[i] for i in range(n_tasks)]
+
+
 __all__ = [
     "BOOT_TIMEOUT_ENV_VAR",
     "ChunkInvariantError",
@@ -422,5 +499,6 @@ __all__ = [
     "collect_resilient",
     "resolve_boot_timeout",
     "resolve_policy",
+    "run_wave",
     "validate_resilience_env",
 ]

@@ -1,10 +1,9 @@
 """Zero-copy shared-memory process engine for ``parallel_spkadd``.
 
-The plain process pool (``executor="process"``) pickles every
-column-chunk view into each worker and pickles every chunk result back —
-pure copy overhead for a bandwidth-bound kernel — and pays a full
-fork/teardown per call.  This module replaces that transport with
-``multiprocessing.shared_memory`` plus a persistent worker pool:
+Pickling column chunks to worker processes copies every chunk view in
+and every chunk result back — pure copy overhead for a bandwidth-bound
+kernel.  This engine moves the data through
+``multiprocessing.shared_memory`` instead, on a persistent worker pool:
 
 1. the parent **publishes** the k input CSC arrays
    (indptr/indices/values) into one named shared segment *once* per
@@ -21,9 +20,9 @@ fork/teardown per call.  This module replaces that transport with
    their private output slice — no per-chunk pickling, no gather
    concatenate.
 
-Chunk results are produced by the same ``_run_chunk`` the thread and
-process pools use, so the assembled matrix (and the merged stats) are
-bit-identical across all executors and both kernel backends.
+Chunk results are produced by the same ``_run_chunk`` the thread pool
+and the serial floor use, so the assembled matrix (and the merged
+stats) are bit-identical across all executors and both kernel backends.
 
 Engine lifecycle (:class:`SharedMemoryPool`): workers come from the
 persistent pool registry (:mod:`repro.parallel.pools`) and are **reused
@@ -52,8 +51,9 @@ still ends empty once the result is garbage-collected.
 restores the private-copy behaviour for callers whose results must
 outlive any shared-memory bookkeeping.
 
-Resilience: both submit waves retry transiently failed chunks on a
-rebuilt pool under the call's
+Resilience: both submit waves run through
+:func:`~repro.parallel.resilience.run_wave`, which retries transiently
+failed chunks on a rebuilt pool under the call's
 :class:`~repro.parallel.resilience.ResiliencePolicy` — safe because
 every staged write is **idempotent by construction** (each chunk owns a
 fixed scratch slot and a disjoint output slice, so a retried chunk
@@ -67,6 +67,7 @@ rebuild, before retry waves, and at interpreter exit.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import errno
 import os
 import secrets
@@ -74,7 +75,6 @@ import sys
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -594,8 +594,8 @@ def _chunk_input_nnz(
 class SharedMemoryPool:
     """Persistent process pool + per-call segment sessions.
 
-    Workers come from the pool registry (:mod:`repro.parallel.pools`)
-    under kind ``"shm"``, so they survive across :meth:`run` calls —
+    Workers come from the pool registry (:mod:`repro.parallel.pools`),
+    so they survive across :meth:`run` calls —
     and across engine instances sharing a worker count and start method
     — amortizing process startup.  Calls on one engine are serialized
     by an internal lock, so the single default engine (every
@@ -621,12 +621,18 @@ class SharedMemoryPool:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
 
+    @contextlib.contextmanager
     def _lease_pool(self, threads: int, deadline=None):
-        """Context manager: the registry pool for this engine, checked
-        out (eviction-pinned) for the duration of one wave."""
+        """The registry pool for this engine, checked out
+        (eviction-pinned) for one wave attempt.  Re-leasing after a
+        break hands back a freshly rebuilt pool; workers attach to the
+        call's segments by name, so a fresh pool resumes the session
+        transparently."""
         from repro.parallel.pools import lease_pool
 
-        return lease_pool("shm", threads, self._mp_context, deadline=deadline)
+        with lease_pool(threads, self._mp_context, deadline=deadline) as pool:
+            self._pool = pool
+            yield pool
 
     def shutdown(self, *, discard: bool = False) -> None:
         """Release this engine's pool reference.
@@ -634,7 +640,7 @@ class SharedMemoryPool:
         A broken pool is always discarded from the registry (the next
         :meth:`run` gets a clean one).  A healthy pool is by default
         left registered — other engines sharing the
-        ``(kind, threads, start-method)`` key may have work in flight
+        ``(threads, start-method)`` key may have work in flight
         on it, and cancelling that from an unrelated engine's teardown
         would be action at a distance.  ``discard=True`` discards it
         anyway: the targeted teardown for an engine whose context makes
@@ -668,7 +674,7 @@ class SharedMemoryPool:
 
         Returns ``(matrix, stat_items)`` with ``stat_items`` a list of
         ``(j0, stats, stats_symbolic)`` per chunk, chunk-identical to
-        what the thread/process executors produce.  ``materialize``
+        what the thread and serial executors produce.  ``materialize``
         picks result placement (:func:`resolve_shm_results`): the
         default returns segment-backed zero-copy arrays, ``True`` copies
         them into private memory before the segment is unlinked.
@@ -698,65 +704,6 @@ class SharedMemoryPool:
                 deadline=deadline, fault_plan=fault_plan,
             )
 
-    def _run_wave(
-        self, fn, n_tasks: int, make_task, *, threads, policy, deadline,
-        label: str,
-    ):
-        """Submit ``fn(make_task(i))`` for every task index, collecting
-        with retry: a wave interrupted by a dead worker keeps its
-        completed results, discards the poisoned pool, sweeps orphaned
-        segments, and re-submits only the unfinished tasks to a rebuilt
-        pool.  ``make_task`` is called per *attempt*, so consumed fault
-        directives are not re-shipped with the retried task.
-        """
-        from repro.parallel.pools import discard_pool, pool_is_broken
-        from repro.parallel.resilience import (
-            RetriesExhausted,
-            collect_resilient,
-        )
-
-        results: Dict = {}
-        pending = list(range(n_tasks))
-        attempt = 0
-        while pending:
-            deadline.check(f"shm {label} wave")
-            transient = None
-            # The lease spans one wave attempt: a leased pool cannot be
-            # LRU-evicted out from under the call, and re-leasing after
-            # a break hands back a freshly rebuilt pool (workers attach
-            # to this call's segments by name, so a fresh pool resumes
-            # the session transparently).
-            with self._lease_pool(threads, deadline=deadline) as pool:
-                self._pool = pool
-                try:
-                    futures = {
-                        i: pool.submit(fn, make_task(i)) for i in pending
-                    }
-                    got, pending, transient = collect_resilient(
-                        futures, deadline=deadline
-                    )
-                    results.update(got)
-                except BrokenProcessPool as err:
-                    # Broke at submit time (poisoned by an earlier
-                    # wave): everything outstanding is retryable.
-                    transient = err
-                    pending = [i for i in pending if i not in results]
-                finally:
-                    if pool_is_broken(pool):
-                        discard_pool(pool)
-            if pending:
-                attempt += 1
-                if attempt > policy.max_retries:
-                    raise RetriesExhausted(
-                        f"shm executor: {len(pending)} {label} task(s) "
-                        f"still failing transiently after "
-                        f"{policy.max_retries} retries",
-                        executor="shm",
-                    ) from transient
-                sweep_orphans()
-                deadline.sleep(policy.backoff_s(attempt))
-        return [results[i] for i in range(n_tasks)]
-
     def _run_locked(
         self, mats, method, ranges, *, sorted_output, kwargs, threads,
         index_dtype=None, materialize=False, policy=None, deadline=None,
@@ -764,6 +711,7 @@ class SharedMemoryPool:
     ):
         from repro.core.symbolic import chunk_output_layout
         from repro.kernels import resolve_index_dtype, resolve_value_dtype
+        from repro.parallel.resilience import run_wave
 
         m, n = mats[0].shape
         # The kernels accumulate (and emit) in the dtypes these rules
@@ -816,13 +764,15 @@ class SharedMemoryPool:
                 )
                 return (session, j0, j1, s_idx, s_dat, fault)
 
+            def lease():
+                return self._lease_pool(threads, deadline=deadline)
+
             col_nnz = np.zeros(n, dtype=np.int64)
             stat_items = []
             sorted_flags = []
-            for j0, counts, sub_sorted, st, st_sym in self._run_wave(
-                _compute_chunk, len(ranges), compute_task,
-                threads=threads, policy=policy, deadline=deadline,
-                label="compute",
+            for j0, counts, sub_sorted, st, st_sym in run_wave(
+                lease, _compute_chunk, compute_task, len(ranges),
+                policy=policy, deadline=deadline, label="shm compute",
             ):
                 col_nnz[j0 : j0 + counts.size] = counts
                 stat_items.append((j0, st, st_sym))
@@ -852,10 +802,9 @@ class SharedMemoryPool:
                 )
                 return (session, batches[b], fault)
 
-            self._run_wave(
-                _scatter_chunks, len(batches), scatter_task,
-                threads=threads, policy=policy, deadline=deadline,
-                label="scatter",
+            run_wave(
+                lease, _scatter_chunks, scatter_task, len(batches),
+                policy=policy, deadline=deadline, label="shm scatter",
             )
             deadline.check("shm result assembly")
             owner: Optional[SharedResultOwner] = None

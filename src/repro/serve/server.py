@@ -168,12 +168,12 @@ class GatewayServer:
             # server would still be flock-free — last-one-wins is the
             # local-socket convention.
             os.unlink(path)
-        if self.executor in ("shm", "process"):
+        if self.executor == "shm":
             from repro.parallel.pools import reserve_pool
 
             # Dedicated pool: boot the workers *before* traffic arrives
             # and pin them against LRU eviction for the server's life.
-            self._reservation = reserve_pool(self.executor, self.config.threads)
+            self._reservation = reserve_pool(self.config.threads)
         self._stop_event = asyncio.Event()
         try:
             self._server = await asyncio.start_unix_server(

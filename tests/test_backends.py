@@ -148,17 +148,18 @@ class TestCrossBackendEquivalence:
         )
 
     @pytest.mark.parametrize("method", ["hash", "sliding_hash"])
-    def test_process_executor_matches(self, method):
+    def test_shm_executor_matches(self, method):
         mats = random_collection(31, 400, 19, 6)
         thread = spkadd(
             mats, method=method, threads=3, backend="fast",
+            executor="thread",
         )
-        process = spkadd(
+        shm = spkadd(
             mats, method=method, threads=3, backend="fast",
-            executor="process",
+            executor="shm",
         )
-        assert_bit_identical(thread.matrix, process.matrix, method)
-        assert thread.stats.input_nnz == process.stats.input_nnz
+        assert_bit_identical(thread.matrix, shm.matrix, method)
+        assert thread.stats.input_nnz == shm.stats.input_nnz
 
     def test_direct_kernel_backends_match(self):
         mats = random_collection(32, 500, 13, 9)

@@ -200,7 +200,7 @@ class TestFacadeOverride:
     def test_override_with_threads(self):
         mats = [A.astype(np.float64) for A in int_collection(4, seed=9)]
         ref = spkadd(mats, value_dtype=np.float32)
-        for executor in ("thread", "process", "shm"):
+        for executor in ("thread", "shm"):
             got = spkadd(
                 mats, threads=3, executor=executor, value_dtype=np.float32
             )
@@ -225,7 +225,7 @@ class TestFacadeOverride:
                        "scipy_incremental", "hash", "heap", "spa"):
             res = spkadd([m], method=method)
             assert res.matrix.data.dtype == np.int64, method
-        for executor in ("thread", "process", "shm"):
+        for executor in ("thread", "shm"):
             got = spkadd([m], method="2way_tree", threads=2,
                          executor=executor)
             assert got.matrix.data.dtype == np.int64, executor
@@ -246,7 +246,7 @@ class TestFacadeOverride:
         assert ref.matrix.data.dtype == np.int64
         assert set(ref.matrix.data.tolist()) == {2 * half, -14}
         if method == "scipy_tree":  # registry method usable in parallel
-            for executor in ("thread", "process", "shm"):
+            for executor in ("thread", "shm"):
                 got = spkadd(mats, method=method, threads=2,
                              executor=executor)
                 assert got.matrix.data.dtype == np.int64, executor

@@ -1,4 +1,4 @@
-"""Fork-safety stress test for the mixed thread/process/shm workload.
+"""Fork-safety stress test for the mixed thread/shm workload.
 
 ROADMAP (PR 3) recorded a rare CI hang: a fork-based worker pool forked
 while another thread held a lock (thread pools and a persistent shm
@@ -9,7 +9,8 @@ a held lock — and this test is the regression harness: it interleaves
 
 * thread-pool SpKAdd calls running concurrently on a live
   ``ThreadPoolExecutor`` (threads exist while other pools start),
-* fresh per-call process pools (``executor="process"``),
+* a freshly booted shared-memory pool every round (a 3-worker shm
+  pool, discarded after each round),
 * the persistent shared-memory engine (``executor="shm"``),
 
 for several rounds in one child interpreter, under a **hard subprocess
@@ -38,6 +39,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.api import spkadd
 from repro.generators import erdos_renyi_collection
+from repro.parallel.pools import active_pools, discard_pool
 from repro.parallel.shm import list_live_segments
 
 
@@ -46,8 +48,8 @@ def main():
     ref = spkadd(mats, method="hash").matrix
     for round_no in range(4):
         # Keep a thread pool alive (its workers hold the GIL and
-        # arbitrary locks at arbitrary times) WHILE both process-based
-        # executors start and run workers — the historical hazard.
+        # arbitrary locks at arbitrary times) WHILE shm pools start and
+        # run workers — the historical hazard.
         with ThreadPoolExecutor(max_workers=4) as tp:
             thread_futs = [
                 tp.submit(
@@ -56,14 +58,17 @@ def main():
                 )
                 for _ in range(2)
             ]
-            fresh_proc = spkadd(
-                mats, method="hash", threads=2, executor="process"
+            fresh_shm = spkadd(
+                mats, method="hash", threads=3, executor="shm"
             )
             persistent_shm = spkadd(
                 mats, method="hash", threads=2, executor="shm"
             )
             results = [f.result() for f in thread_futs]
-        results += [fresh_proc, persistent_shm]
+        results += [fresh_shm, persistent_shm]
+        for key, pool in active_pools().items():
+            if key[0] == 3:
+                discard_pool(pool)  # the next round boots a fresh one
         for res in results:
             assert res.matrix.indices.dtype == ref.indices.dtype
             assert np.array_equal(res.matrix.indptr, ref.indptr)
@@ -73,7 +78,7 @@ def main():
     # drop them before checking that nothing leaked.
     import gc
 
-    del results, res, fresh_proc, persistent_shm
+    del results, res, fresh_shm, persistent_shm
     gc.collect()
     assert list_live_segments() == []
     print("STRESS-OK")

@@ -35,8 +35,8 @@ from repro.formats.csr import CSRMatrix
 from repro.kernels import get_backend
 from tests.conftest import assert_bit_identical
 
-EXECUTORS = ("serial", "thread", "process", "shm")
-PARALLEL_EXECUTORS = ("thread", "process", "shm")
+EXECUTORS = ("serial", "thread", "shm")
+PARALLEL_EXECUTORS = ("thread", "shm")
 
 
 def run(mats, executor, *, method="hash", threads=3, **kw):
@@ -413,7 +413,7 @@ class TestOverflowPromotion:
         )
         assert out.indptr.dtype == np.int64  # 4 entries > lowered capacity
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("executor", ["thread", "serial"])
     def test_concat_results_at_int32_layout_boundary(
         self, executor, monkeypatch
     ):

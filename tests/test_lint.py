@@ -272,7 +272,7 @@ L005_BAD_NOT_THREADED = """\
 from repro.parallel.pools import lease_pool
 
 def run(work, deadline=None):
-    with lease_pool("process", 4) as pool:
+    with lease_pool(4) as pool:
         return list(pool.map(abs, work))
 """
 

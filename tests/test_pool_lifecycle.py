@@ -2,14 +2,14 @@
 
 Three contracts under test:
 
-* **Persistent pools** — both process-based executors draw workers from
-  the :mod:`repro.parallel.pools` registry: repeated calls reuse one
+* **Persistent pools** — the shm engine draws workers from the
+  :mod:`repro.parallel.pools` registry: repeated calls reuse one
   warm pool (no child-process / fd / ``/dev/shm`` growth across a soak
   loop), a broken pool is rebuilt on the next call, and
   ``shutdown_pools()`` / the registry context manager release workers
   deterministically.
 * **Fail-fast chunk errors** — the first poisoned chunk cancels the
-  chunks still queued and propagates immediately on both the process
+  chunks still queued and propagates immediately on both the thread
   and shm paths, instead of waiting out every healthy sibling
   (regression drivers run in a child interpreter under a hard timeout,
   with ``REPRO_MP_START=fork`` so the parent-side poison patch is
@@ -58,32 +58,31 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 class TestPoolRegistry:
     def test_same_key_reuses_pool(self):
-        a = get_pool("process", 2)
-        b = get_pool("process", 2)
+        a = get_pool(2)
+        b = get_pool(2)
         assert a is b
 
-    def test_kind_threads_and_context_key_separately(self):
-        base = get_pool("process", 2)
-        assert get_pool("shm", 2) is not base
-        assert get_pool("process", 3) is not base
-        assert get_pool("process", 2) is base  # still resident (cap 2)
+    def test_threads_and_context_key_separately(self):
+        base = get_pool(2)
+        assert get_pool(3) is not base
+        assert get_pool(2) is base  # still resident (cap 2)
         spawn = multiprocessing.get_context("spawn")
-        other = get_pool("process", 2, spawn)
+        other = get_pool(2, spawn)
         try:
             assert other is not base
         finally:
             discard_pool(other)
 
-    def test_lru_eviction_bounds_residency_per_kind(self):
-        from repro.parallel.pools import DEFAULT_MAX_POOLS_PER_KIND
+    def test_lru_eviction_bounds_residency(self):
+        from repro.parallel.pools import DEFAULT_MAX_POOLS
 
-        shutdown_pools(kind="process")
+        shutdown_pools()
         widths = (2, 3, 4)
-        pools = [get_pool("process", t) for t in widths]
-        keys = sorted(k for k in active_pools() if k[0] == "process")
-        assert len(keys) == DEFAULT_MAX_POOLS_PER_KIND
+        pools = [get_pool(t) for t in widths]
+        keys = sorted(active_pools())
+        assert len(keys) == DEFAULT_MAX_POOLS
         # The least-recently-used width was evicted, the newest survive.
-        assert {k[1] for k in keys} == set(widths[-DEFAULT_MAX_POOLS_PER_KIND:])
+        assert {k[0] for k in keys} == set(widths[-DEFAULT_MAX_POOLS:])
         with pytest.raises(RuntimeError):  # evicted pool was shut down
             pools[0].submit(int, "1")
         assert pools[-1].submit(int, "7").result() == 7
@@ -93,64 +92,49 @@ class TestPoolRegistry:
         mid-call, however many other widths are acquired meanwhile."""
         from repro.parallel.pools import lease_pool
 
-        shutdown_pools(kind="process")
-        with lease_pool("process", 2) as leased:
+        shutdown_pools()
+        with lease_pool(2) as leased:
             for t in (3, 4, 5):  # enough churn to evict every unleased pool
-                get_pool("process", t)
+                get_pool(t)
             # Still registered and still accepting work mid-lease.
-            assert any(
-                k[0] == "process" and k[1] == 2 for k in active_pools()
-            )
+            assert any(k[0] == 2 for k in active_pools())
             assert leased.submit(int, "7").result() == 7
         # Once released it becomes an ordinary eviction candidate.
         for t in (3, 4):
-            get_pool("process", t)
-        assert not any(
-            k[0] == "process" and k[1] == 2 for k in active_pools()
-        )
+            get_pool(t)
+        assert not any(k[0] == 2 for k in active_pools())
 
-    def test_executor_process_reuses_registry_pool(self):
+    def test_executor_shm_reuses_registry_pool(self):
         mats = random_collection(50, 150, 11, 4)
         ref = spkadd(mats, method="hash", threads=2, executor="thread")
-        got1 = spkadd(mats, method="hash", threads=2, executor="process")
-        pool = active_pools().get(("process", 2, "forkserver"))
-        got2 = spkadd(mats, method="hash", threads=2, executor="process")
+        got1 = spkadd(mats, method="hash", threads=2, executor="shm")
+        pool = active_pools().get((2, "forkserver"))
+        got2 = spkadd(mats, method="hash", threads=2, executor="shm")
         if pool is not None:  # forkserver platforms: the pool survived
-            assert active_pools().get(("process", 2, "forkserver")) is pool
+            assert active_pools().get((2, "forkserver")) is pool
         assert_bit_identical(ref.matrix, got1.matrix)
         assert_bit_identical(ref.matrix, got2.matrix)
 
     def test_discard_replaces_pool(self):
-        pool = get_pool("process", 2)
+        pool = get_pool(2)
         discard_pool(pool)
-        fresh = get_pool("process", 2)
+        fresh = get_pool(2)
         assert fresh is not pool
         assert fresh.submit(int, "7").result() == 7
 
     def test_broken_pool_rebuilt_and_executor_recovers(self):
         mats = random_collection(51, 150, 11, 4)
         ref = spkadd(mats, method="hash", threads=2, executor="thread")
-        pool = get_pool("process", 2)
+        pool = get_pool(2)
         with pytest.raises(BrokenProcessPool):
             # Kill a worker mid-task: the executor is now poisoned.
             pool.submit(os._exit, 13).result()
         # Health rebuild: the registry never hands out the corpse.
-        fresh = get_pool("process", 2)
+        fresh = get_pool(2)
         assert fresh is not pool
         # And the public executor path works end to end again.
-        got = spkadd(mats, method="hash", threads=2, executor="process")
+        got = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(ref.matrix, got.matrix)
-
-    def test_shutdown_pools_kind_filter(self):
-        get_pool("process", 2)
-        shm = get_pool("shm", 2)
-        shutdown_pools(kind="process")
-        keys = set(active_pools())
-        assert not any(k[0] == "process" for k in keys)
-        assert any(k[0] == "shm" for k in keys)
-        assert get_pool("shm", 2) is shm  # untouched by the filter
-        shutdown_pools()
-        assert active_pools() == {}
 
     def test_shutdown_pools_defers_leased_pool(self):
         """shutdown_pools() arriving while a call is in flight must not
@@ -158,10 +142,10 @@ class TestPoolRegistry:
         is closed when the lease releases."""
         from repro.parallel.pools import lease_pool
 
-        shutdown_pools(kind="process")
-        with lease_pool("process", 2) as pool:
-            shutdown_pools(kind="process")
-            assert not any(k[0] == "process" for k in active_pools())
+        shutdown_pools()
+        with lease_pool(2) as pool:
+            shutdown_pools()
+            assert active_pools() == {}
             # Mid-call submits still succeed (the scatter-wave case).
             assert pool.submit(int, "7").result() == 7
         with pytest.raises(RuntimeError):  # closed once the call ended
@@ -172,12 +156,10 @@ class TestPoolRegistry:
         cancel that call; the pool closes when the lease releases."""
         from repro.parallel.pools import lease_pool
 
-        shutdown_pools(kind="process")
-        with lease_pool("process", 2) as pool:
+        shutdown_pools()
+        with lease_pool(2) as pool:
             discard_pool(pool)
-            assert not any(
-                k[0] == "process" and k[1] == 2 for k in active_pools()
-            )
+            assert not any(k[0] == 2 for k in active_pools())
             assert pool.submit(int, "7").result() == 7  # still serving
         with pytest.raises(RuntimeError):  # closed at lease release
             pool.submit(int, "1")
@@ -202,16 +184,16 @@ class TestPoolRegistry:
             mats, "hash", ranges,
             sorted_output=True, kwargs={"backend": "fast"}, threads=2,
         )
-        assert ("shm", 2, "spawn") in active_pools()
+        assert (2, "spawn") in active_pools()
         engine.shutdown(discard=True)
-        assert ("shm", 2, "spawn") not in active_pools()
+        assert (2, "spawn") not in active_pools()
         del out
         gc.collect()
         assert list_live_segments() == before
 
     def test_private_registry_context_manager(self):
         with PoolRegistry() as reg:
-            pool = reg.get("process", 2)
+            pool = reg.get(2)
             assert pool.submit(int, "5").result() == 5
             assert reg.active()
         # __exit__ shut the pool down; it accepts no further work.
@@ -222,10 +204,9 @@ class TestPoolRegistry:
     def test_shutdown_then_spkadd_rebuilds(self):
         mats = random_collection(52, 120, 9, 3)
         ref = spkadd(mats, method="hash", threads=2, executor="thread")
-        for executor in ("process", "shm"):
-            shutdown_pools()
-            got = spkadd(mats, method="hash", threads=2, executor=executor)
-            assert_bit_identical(ref.matrix, got.matrix)
+        shutdown_pools()
+        got = spkadd(mats, method="hash", threads=2, executor="shm")
+        assert_bit_identical(ref.matrix, got.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +273,7 @@ FAILFAST_TIMEOUT_S = 120
 
 
 @pytest.mark.stress
-@pytest.mark.parametrize("executor", ["process", "shm"])
+@pytest.mark.parametrize("executor", ["thread", "shm"])
 def test_poisoned_chunk_fails_fast(executor, tmp_path):
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork start method unavailable")
@@ -323,17 +304,16 @@ def test_poisoned_chunk_fails_fast(executor, tmp_path):
 def test_worker_error_keeps_engines_usable():
     """In-process companion to the drivers: a failing chunk (unknown
     kernel kwarg) propagates as the worker's error, leaks nothing, and
-    leaves both persistent engines serving the next call."""
+    leaves the persistent engine serving the next call."""
     mats = random_collection(53, 150, 11, 4)
     ref = spkadd(mats, method="hash", threads=2, executor="thread")
-    for executor in ("process", "shm"):
-        before = list_live_segments()
-        with pytest.raises(TypeError):
-            spkadd(mats, method="hash", threads=2, executor=executor,
-                   definitely_not_a_kwarg=1)
-        assert list_live_segments() == before, executor
-        got = spkadd(mats, method="hash", threads=2, executor=executor)
-        assert_bit_identical(ref.matrix, got.matrix)
+    before = list_live_segments()
+    with pytest.raises(TypeError):
+        spkadd(mats, method="hash", threads=2, executor="shm",
+               definitely_not_a_kwarg=1)
+    assert list_live_segments() == before
+    got = spkadd(mats, method="hash", threads=2, executor="shm")
+    assert_bit_identical(ref.matrix, got.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +326,7 @@ def _fd_count() -> int:
 
 
 @pytest.mark.stress
-@pytest.mark.parametrize("executor", ["process", "shm"])
+@pytest.mark.parametrize("executor", ["thread", "shm"])
 def test_soak_no_resource_growth(executor):
     if not os.path.isdir("/proc/self/fd"):
         pytest.skip("/proc not available")
@@ -507,17 +487,17 @@ class TestZeroCopyLifetime:
         assert not deep.is_shm_backed
         assert_bit_identical(res.matrix, deep)
 
-    def test_zero_copy_result_feeds_process_executor(self):
-        """A zero-copy shm result used as an *input* to the process
-        executor crosses the pickle transport (chunk views inherit the
-        buffer_owner marker) — it must ship cleanly."""
+    def test_zero_copy_result_feeds_shm_executor(self):
+        """A zero-copy shm result used as an *input* to the shm
+        executor is published like any other addend (its views carry
+        the buffer_owner marker) — it must feed the next call cleanly."""
         mats = random_collection(63, 150, 11, 4)
         partial = self.run_shm(mats[:2]).matrix
         assert partial.is_shm_backed
         ref = spkadd([partial] + mats[2:], method="hash", threads=2,
                      executor="thread")
         got = spkadd([partial] + mats[2:], method="hash", threads=2,
-                     executor="process")
+                     executor="shm")
         assert_bit_identical(ref.matrix, got.matrix)
 
     def test_engine_shutdown_leaves_shared_healthy_pool(self):
@@ -530,12 +510,12 @@ class TestZeroCopyLifetime:
         ref = spkadd(mats, method="hash", threads=2, executor="thread")
         first = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(ref.matrix, first.matrix)
-        pool = active_pools().get(("shm", 2, "forkserver"))
+        pool = active_pools().get((2, "forkserver"))
         other = SharedMemoryPool()
         other._pool = pool  # simulate a second engine on the same key
         other.shutdown()
         if pool is not None:
-            assert active_pools().get(("shm", 2, "forkserver")) is pool
+            assert active_pools().get((2, "forkserver")) is pool
         # The default engine keeps working on the (still live) pool.
         again = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(ref.matrix, again.matrix)

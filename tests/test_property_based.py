@@ -277,7 +277,7 @@ def test_shm_dtype_axis_bitwise_and_resolved(mats, threads):
     expect = resolve_value_dtype(mats)
     ref = spkadd(mats, method="hash").matrix
     assert ref.data.dtype == expect
-    for executor in ("thread", "process", "shm"):
+    for executor in ("thread", "shm"):
         got = spkadd(
             mats, method="hash", threads=threads, executor=executor
         ).matrix
@@ -332,7 +332,7 @@ def test_shm_index_axis_bitwise(mats, threads):
     expect = resolve_index_dtype(mats)
     ref = spkadd(mats, method="hash").matrix
     assert ref.indices.dtype == expect
-    for executor in ("thread", "process", "shm"):
+    for executor in ("thread", "shm"):
         got = spkadd(
             mats, method="hash", threads=threads, executor=executor
         ).matrix

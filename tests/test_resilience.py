@@ -5,7 +5,7 @@ real executors and asserts the resilience contract of
 :mod:`repro.parallel.resilience`:
 
 * a worker killed mid-call is recovered by chunk retry and the result
-  stays **bit-identical** to the serial answer (shm and process
+  stays **bit-identical** to the serial answer (shm and thread
   executors, both kernel backends);
 * a per-call deadline is honoured within 2x the requested bound, raises
   the typed ``DeadlineExceeded``, and leaks nothing;
@@ -17,9 +17,12 @@ real executors and asserts the resilience contract of
 * after every recovery, ``/dev/shm``, the child-process set, and the fd
   table return to baseline (no leaks);
 * ``sweep_orphans`` unlinks dead-owner segments and leaves live-owner
-  segments alone.
+  segments alone;
+* the one retry loop, ``run_wave``, treats a submit that fails on a
+  broken pool as transient, whatever the exception.
 """
 
+import contextlib
 import gc
 import multiprocessing
 import os
@@ -27,12 +30,14 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core.api import spkadd
 from repro.parallel import executor as executor_mod
 from repro.parallel import faults
+from repro.parallel.pools import PoolRegistry, pool_is_broken
 from repro.parallel.resilience import (
     DEADLINE_ENV_VAR,
     FALLBACK_ENV_VAR,
@@ -44,6 +49,7 @@ from repro.parallel.resilience import (
     ResiliencePolicy,
     RetriesExhausted,
     resolve_policy,
+    run_wave,
 )
 from repro.parallel.shm import (
     SEGMENT_PREFIX,
@@ -109,17 +115,18 @@ class TestPolicyResolution:
         with pytest.raises(ValueError, match=MAX_RETRIES_ENV_VAR):
             resolve_policy()
         monkeypatch.delenv(MAX_RETRIES_ENV_VAR)
-        monkeypatch.setenv(FALLBACK_ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match=FALLBACK_ENV_VAR):
-            resolve_policy()
+        for bad in ("gpu", "process"):
+            monkeypatch.setenv(FALLBACK_ENV_VAR, bad)
+            with pytest.raises(ValueError, match=FALLBACK_ENV_VAR):
+                resolve_policy()
 
     def test_chain_semantics(self):
         p = ResiliencePolicy()
-        assert p.chain_for("shm") == ("shm", "process", "thread", "serial")
+        assert p.chain_for("shm") == ("shm", "thread", "serial")
         assert p.chain_for("thread") == ("thread", "serial")
         assert p.chain_for("serial") == ("serial",)
         restricted = ResiliencePolicy(fallback=("serial",))
-        assert restricted.chain_for("process") == ("process", "serial")
+        assert restricted.chain_for("shm") == ("shm", "serial")
         disabled = ResiliencePolicy(fallback=())
         assert disabled.chain_for("shm") == ("shm",)
 
@@ -177,7 +184,7 @@ class TestPolicyResolution:
 
 
 class TestKillRetry:
-    @pytest.mark.parametrize("executor", ["process", "shm"])
+    @pytest.mark.parametrize("executor", ["thread", "shm"])
     @pytest.mark.parametrize("backend", ["fast", "instrumented"])
     def test_single_kill_recovers_bit_identical(
         self, mats, executor, backend
@@ -260,7 +267,7 @@ class TestKillRetry:
         base = baseline_result(mats)
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "kill_chunk=0")
         for call in range(2):  # fresh counters: both calls are faulted
-            res = spkadd(mats, method="hash", threads=2, executor="process")
+            res = spkadd(mats, method="hash", threads=2, executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"env call {call}")
 
     def test_deterministic_errors_not_retried(self, mats):
@@ -333,7 +340,7 @@ class TestDeadline:
 
 class TestFallback:
     def test_exhausted_retries_degrade_to_serial(self, mats, no_warn_flag):
-        """kill_count=2 with max_retries=0: the process stage dies once
+        """kill_count=2 with max_retries=0: the shm stage dies once
         and gives up, the thread stage eats the second (degraded) kill
         and gives up, and the serial floor — fault budget spent — must
         produce the correct answer."""
@@ -342,7 +349,7 @@ class TestFallback:
             warnings.simplefilter("always")
             with faults.inject(kill_chunk=0, kill_count=2):
                 res = spkadd(
-                    mats, method="hash", threads=2, executor="process",
+                    mats, method="hash", threads=2, executor="shm",
                     resilience=ResiliencePolicy(max_retries=0),
                 )
         assert_bit_identical(res.matrix, base.matrix, "serial floor")
@@ -356,10 +363,10 @@ class TestFallback:
         with faults.inject(kill_chunk=0, kill_count=10):
             with pytest.raises(RetriesExhausted) as exc:
                 spkadd(
-                    mats, method="hash", threads=2, executor="process",
+                    mats, method="hash", threads=2, executor="shm",
                     resilience=ResiliencePolicy(max_retries=1, fallback=()),
                 )
-        assert exc.value.executor == "process"
+        assert exc.value.executor == "shm"
         assert isinstance(exc.value, ExecutorUnusable)
 
     def test_fallback_env_off(self, mats, monkeypatch):
@@ -367,7 +374,7 @@ class TestFallback:
         monkeypatch.setenv(MAX_RETRIES_ENV_VAR, "0")
         with faults.inject(kill_chunk=0, kill_count=10):
             with pytest.raises(RetriesExhausted):
-                spkadd(mats, method="hash", threads=2, executor="process")
+                spkadd(mats, method="hash", threads=2, executor="shm")
 
     def test_enospc_falls_back_clean(self, mats, no_warn_flag):
         base = baseline_result(mats)
@@ -388,7 +395,7 @@ class TestFallback:
         with faults.inject(boot_hang_s=1.0):
             with pytest.raises(PoolBootTimeout) as exc:
                 executor_mod._ensure_forkserver_running()
-        assert exc.value.executor == "process"
+        assert exc.value.executor == "shm"
         assert isinstance(exc.value, (ExecutorUnusable, TimeoutError))
         # Let the hung boot thread finish before the next test uses the
         # fork server (it completes the real boot after the hang).
@@ -400,8 +407,8 @@ class TestFallback:
         import repro
 
         base = baseline_result(mats)
-        # Drop warm pools so the process stage must re-acquire one (and
-        # so hit the bounded forkserver boot).
+        # Drop warm pools so the shm stage must re-acquire one (and so
+        # hit the bounded forkserver boot).
         repro.shutdown_pools()
         monkeypatch.setattr(executor_mod, "_FORKSERVER_BOOTED", False)
         monkeypatch.setenv("REPRO_BOOT_TIMEOUT", "0.2")
@@ -409,7 +416,7 @@ class TestFallback:
             warnings.simplefilter("always")
             with faults.inject(boot_hang_s=1.0):
                 res = spkadd(mats, method="hash", threads=2,
-                             executor="process")
+                             executor="shm")
         assert_bit_identical(res.matrix, base.matrix, "post-boot-timeout")
         assert any("unusable" in str(w.message) for w in caught)
         time.sleep(1.2)  # drain the hung boot thread
@@ -467,6 +474,86 @@ class TestSweeper:
         import repro
 
         assert repro.sweep_orphans is sweep_orphans
+
+
+# ---------------------------------------------------------------------------
+# Teardown race: a pool whose worker just died.
+# ---------------------------------------------------------------------------
+
+
+class _TornDownPool:
+    """A pool caught mid-teardown after a worker died: CPython 3.11's
+    manager thread closes its pipes on its own schedule, so ``submit``
+    and ``shutdown`` can fail with ``OSError`` instead of
+    ``BrokenProcessPool``."""
+
+    _broken = "A child process terminated abruptly"
+
+    def __init__(self):
+        self.submits = 0
+        self.shutdowns = 0
+
+    def submit(self, fn, *args):
+        self.submits += 1
+        raise OSError("handle is closed")
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        self.shutdowns += 1
+        raise OSError("handle is closed")
+
+
+class TestTeardownRace:
+    def test_submit_oserror_on_broken_pool_is_retried(self):
+        dead = _TornDownPool()
+        registry = PoolRegistry()
+        handed = iter([dead, ThreadPoolExecutor(max_workers=2)])
+        leased = []
+
+        @contextlib.contextmanager
+        def lease():
+            pool = next(handed)
+            leased.append(pool)
+            try:
+                yield pool
+            finally:
+                if pool_is_broken(pool):
+                    registry.discard(pool)
+                else:
+                    pool.shutdown()
+
+        got = run_wave(
+            lease, abs, lambda i: -i, 5,
+            policy=ResiliencePolicy(max_retries=1, backoff_base_s=0.0),
+            deadline=Deadline(30.0), label="shm compute",
+        )
+        assert got == [0, 1, 2, 3, 4]
+        assert leased[0] is dead and len(leased) == 2
+        assert dead.submits == 1 and dead.shutdowns == 1
+
+    def test_submit_oserror_on_healthy_pool_propagates(self):
+        class Flaky(_TornDownPool):
+            _broken = False
+
+        with pytest.raises(OSError, match="handle is closed"):
+            run_wave(
+                lambda: contextlib.nullcontext(Flaky()), abs,
+                lambda i: -i, 2, policy=ResiliencePolicy(),
+                deadline=Deadline(), label="shm compute",
+            )
+
+    def test_registry_closes_broken_pool_quietly(self):
+        spawn = multiprocessing.get_context("spawn")
+        with PoolRegistry() as registry:
+            dead = _TornDownPool()
+            registry.discard(dead)  # absorbed, not raised
+            assert dead.shutdowns == 1
+            # Health rebuild: the corpse is replaced (its OSError
+            # absorbed) and a fresh pool is handed out.
+            dead = _TornDownPool()
+            registry._pools[(2, "spawn")] = dead
+            fresh = registry.get(2, spawn)
+            assert fresh is not dead and dead.shutdowns == 1
+            assert not pool_is_broken(fresh)
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ from tests.conftest import (
     shuffle_columns,
 )
 
-EXECUTORS = ("serial", "thread", "process", "shm")
-PARALLEL_EXECUTORS = ("thread", "process", "shm")
+EXECUTORS = ("serial", "thread", "shm")
+PARALLEL_EXECUTORS = ("thread", "shm")
 
 
 def run(mats, executor, *, method="hash", threads=3, **kw):
@@ -79,13 +79,12 @@ class TestConformance:
             ).matrix
             for executor in EXECUTORS
         }
-        # The three pools chunk columns identically, so they must agree
-        # bit for bit in every configuration.
-        for executor in ("process", "shm"):
-            assert_bit_identical(
-                results["thread"], results[executor],
-                f"{backend}/sorted={sorted_output}/{executor}",
-            )
+        # The pools chunk columns identically, so they must agree bit
+        # for bit in every configuration.
+        assert_bit_identical(
+            results["thread"], results["shm"],
+            f"{backend}/sorted={sorted_output}/shm",
+        )
         if sorted_output or backend == "fast":
             # Sorted columns are canonical: serial agrees exactly too.
             assert_bit_identical(results["serial"], results["thread"])
@@ -299,18 +298,14 @@ class TestShmLifecycle:
 
 class TestExecutorSelection:
     def test_trace_sink_rejected_by_all_multiprocess_executors(self):
-        # Both process-based pools must fail the same way: same type,
-        # before any worker is spawned.
+        # The shm engine's worker processes cannot append to the
+        # caller's list: rejected before any worker is spawned.
         mats = random_collection(38, 100, 7, 3)
-        errors = {}
-        for executor in ("process", "shm"):
-            with pytest.raises(ValueError, match="trace_sink") as ei:
-                parallel_spkadd(
-                    mats, "hash", threads=2, executor=executor,
-                    backend="instrumented", trace_sink=[],
-                )
-            errors[executor] = ei.value
-        assert type(errors["process"]) is type(errors["shm"])
+        with pytest.raises(ValueError, match="trace_sink"):
+            parallel_spkadd(
+                mats, "hash", threads=2, executor="shm",
+                backend="instrumented", trace_sink=[],
+            )
         # The thread pool still supports traces.
         sink = []
         parallel_spkadd(
@@ -326,7 +321,7 @@ class TestExecutorSelection:
         assert resolve_executor("shm") == "shm"
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "shm")
         assert resolve_executor(None) == "shm"
-        assert resolve_executor("process") == "process"  # explicit wins
+        assert resolve_executor("thread") == "thread"  # explicit wins
         with pytest.raises(ValueError, match="unknown executor"):
             resolve_executor("rocketship")
 
@@ -335,8 +330,14 @@ class TestExecutorSelection:
         REPRO_EXECUTOR environment variable (satellite regression — the
         two used to raise indistinguishable messages)."""
         monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
-        with pytest.raises(ValueError, match="executor argument"):
-            resolve_executor("rocketship")
+        for bad in ("rocketship", "process"):
+            with pytest.raises(ValueError, match="executor argument"):
+                resolve_executor(bad)
+        monkeypatch.setenv(EXECUTOR_ENV_VAR, "process")
+        with pytest.raises(
+            ValueError, match=f"{EXECUTOR_ENV_VAR} environment variable"
+        ):
+            resolve_executor(None)
         monkeypatch.setenv(EXECUTOR_ENV_VAR, "warp-drive")
         with pytest.raises(
             ValueError, match=f"{EXECUTOR_ENV_VAR} environment variable"
