@@ -13,7 +13,11 @@ Modes
     One ER workload at the ISSUE-1 acceptance point (k=8 matrices,
     m=2^16 rows): every method once per relevant backend, plus the
     thread/shm executor series on the hash kernel, 3 repeats,
-    best-of.  Finishes in well under a minute — suitable for CI.
+    best-of.  The native series times the serial fast backend with
+    the compiled kernel, with it forced off (the NumPy loop) and a raw
+    scipy pairwise fold, paired, on that workload and on a ~1M-nnz
+    k=16 shape, and reports medians with quartiles.  Finishes in
+    about a minute — suitable for CI.
 default (no flag)
     Adds the RMAT pattern, a larger k, and thread sweeps.
 
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
@@ -106,6 +111,99 @@ def bench_workload(name, mats, methods, *, threads, repeats, records,
             )
 
 
+#: the ~1M-nnz serial shape of the benchmark's repeated-pattern
+#: workload: ER, m=2^16, n=4096, d=16, k=16.
+REPEAT_M, REPEAT_N, REPEAT_D, REPEAT_K = 1 << 16, 4096, 16.0, 16
+
+
+def _scipy_fold(mats):
+    """A raw scipy pairwise fold (the absolute bar): ``((A0 + A1) + A2)
+    + ...`` on scipy CSC matrices built outside the timed region."""
+    import scipy.sparse as sp
+
+    csc = [sp.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+           for A in mats]
+
+    def fold():
+        acc = csc[0]
+        for B in csc[1:]:
+            acc = acc + B
+        return acc
+
+    return fold
+
+
+def _spread(walls):
+    q1, med, q3 = np.percentile(walls, [25, 50, 75])
+    return {"median_s": round(float(med), 6), "q1_s": round(float(q1), 6),
+            "q3_s": round(float(q3), 6), "min_s": round(min(walls), 6),
+            "max_s": round(max(walls), 6)}
+
+
+def bench_native_series(shapes, *, repeats, records):
+    """Serial SpKAdd per shape: the fast backend with the compiled
+    kernel, the same call with the loader forced off (the NumPy loop),
+    and a raw scipy pairwise fold.  Legs alternate within each repeat
+    (paired); the record's ``wall_s`` is the median, ``spread`` the
+    quartiles.  Returns ``{shape: {leg: median_s}}`` (empty when the
+    kernel cannot be built here)."""
+    from repro.kernels import native
+
+    if native.library() is None:
+        print(f"native series skipped: {native.fallback_reason()}")
+        return {}
+    saved = native.library
+
+    def numpy_loop(mats):
+        native.library = lambda: None
+        try:
+            return repro.spkadd(mats)
+        finally:
+            native.library = saved
+
+    out = {}
+    for name, mats in shapes.items():
+        legs = {
+            "native": lambda: repro.spkadd(mats),
+            "numpy": lambda: numpy_loop(mats),
+            "scipy_fold": _scipy_fold(mats),
+        }
+        a, b = legs["native"]().matrix, legs["numpy"]().matrix
+        if any(getattr(a, f).tobytes() != getattr(b, f).tobytes()
+               for f in ("indptr", "indices", "data")):
+            raise AssertionError(f"{name}: native != NumPy loop")
+        walls = {leg: [] for leg in legs}
+        for _ in range(repeats):
+            for leg, fn in legs.items():
+                t0 = time.perf_counter()
+                fn()
+                walls[leg].append(time.perf_counter() - t0)
+        print(f"native series: {name}, serial, {repeats} paired repeats")
+        out[name] = {}
+        for leg, w in walls.items():
+            spread = _spread(w)
+            out[name][leg] = spread["median_s"]
+            records.append({
+                "workload": f"{name}_serial_{leg}",
+                "method": "hash" if leg != "scipy_fold" else "scipy_fold",
+                "backend": {"native": "fast", "numpy": "fast(numpy)",
+                            "scipy_fold": "-"}[leg],
+                "executor": "-",
+                "threads": 1,
+                "wall_s": spread["median_s"],
+                "spread": spread,
+                "repeats": repeats,
+                "input_nnz": sum(A.nnz for A in mats),
+                "output_nnz": a.nnz,
+                "ops": 0.0,
+                "probes": 0.0,
+            })
+            print(f"  {name:24s} {leg:10s} median {spread['median_s'] * 1e3:8.1f}"
+                  f" ms  (q1 {spread['q1_s'] * 1e3:.1f}, q3 "
+                  f"{spread['q3_s'] * 1e3:.1f})")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -126,6 +224,16 @@ def main(argv=None) -> int:
     bench_workload(
         "er_k8_n65536", er, quick_methods,
         threads=1, repeats=args.repeats, records=records,
+    )
+
+    native_series = bench_native_series(
+        {
+            "er_k8_n65536": er,
+            "er_k16_d16_repeat_shape": erdos_renyi_collection(
+                REPEAT_M, REPEAT_N, d=REPEAT_D, k=REPEAT_K, seed=14
+            ),
+        },
+        repeats=max(args.repeats, 9), records=records,
     )
 
     # Executor series: the same hash/fast workload on both worker-pool
@@ -331,7 +439,6 @@ def main(argv=None) -> int:
     # unbatched one runs B separate k=k_each calls.  Two servers live
     # side by side on separate sockets and the repeat loop alternates
     # legs, so machine drift cancels out of the ratio.
-    import os as _os
     import uuid as _uuid
     from concurrent.futures import ThreadPoolExecutor as _ClientPool
 
@@ -355,7 +462,7 @@ def main(argv=None) -> int:
     try:
         for leg, knobs in gw_legs.items():
             cfg = GatewayConfig(
-                socket_path=(f"/tmp/repro-bench-gw-{_os.getpid()}-"
+                socket_path=(f"/tmp/repro-bench-gw-{os.getpid()}-"
                              f"{_uuid.uuid4().hex[:6]}.sock"),
                 executor="thread", threads=2, max_queue=2 * gw_burst,
                 **knobs,
@@ -590,12 +697,21 @@ def main(argv=None) -> int:
     print(f"spgemm promoted fast/shm vs serial paper path speedup "
           f"(rmat m=2^14, stages={spg_stages}): {spgemm_speedup}x")
 
+    repeat_legs = native_series.get("er_k16_d16_repeat_shape")
+    native_speedup = (
+        round(repeat_legs["numpy"] / repeat_legs["native"], 2)
+        if repeat_legs else None
+    )
+    print(f"hash native-vs-numpy speedup (serial, k=16, m=2^16, d=16): "
+          f"{native_speedup}x")
+
     payload = {
-        "schema": 9,
+        "schema": 10,
         "preset": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
+        "nproc": os.cpu_count(),
         "elapsed_s": round(time.time() - t_start, 1),
         "headline": {
             "hash_fast_vs_instrumented_speedup": speedup,
@@ -606,6 +722,7 @@ def main(argv=None) -> int:
             "resilience_overhead_ratio": resilience_ratio,
             "gateway_microbatch_vs_per_request_speedup": gateway_speedup,
             "spgemm_fast_shm_vs_serial_speedup": spgemm_speedup,
+            "hash_native_vs_numpy_speedup": native_speedup,
         },
         "results": records,
     }

@@ -18,5 +18,7 @@ setup(
     python_requires=">=3.10",
     package_dir={"": "src"},
     packages=find_packages(where="src"),
+    # The fast backend compiles its kernel from this source on first use.
+    package_data={"repro.kernels": ["native.c"]},
     install_requires=["numpy>=1.24", "scipy>=1.10"],
 )

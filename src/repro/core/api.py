@@ -8,7 +8,8 @@
 through the shared-memory executor (columns are partitioned among
 threads with the paper's load-balancing rule).  ``backend`` selects the
 accumulation engine for the hash-family methods — ``"fast"``
-(sort/reduce, the production default) or ``"instrumented"`` (the
+(the compiled per-column hash kernel, or its NumPy sort/reduce
+fallback; the production default) or ``"instrumented"`` (the
 paper-faithful probing table that produces slot-op/probe/cache stats) —
 and ``executor="shm"`` swaps the thread pool for the zero-copy
 shared-memory engine (``REPRO_EXECUTOR`` overrides the default).
@@ -138,12 +139,13 @@ def spkadd(
     sorted_output:
         Hash-family methods can skip the final per-column sort; other
         methods always emit sorted columns.  With the ``fast`` backend
-        the output is sorted either way (sortedness is a free byproduct
-        of its sort/reduce), so ``False`` only changes behaviour on the
-        instrumented engine.
+        the output is sorted either way (its kernel sorts each column's
+        distinct rows as it emits them), so ``False`` only changes
+        behaviour on the instrumented engine.
     backend:
         Accumulation engine for the hash-family methods (see
-        :mod:`repro.kernels`): ``"fast"`` — sort/segmented-reduce,
+        :mod:`repro.kernels`): ``"fast"`` — the compiled per-column
+        hash kernel (NumPy sort/segmented-reduce without a C compiler),
         bit-identical matrices, no slot-level stats — or
         ``"instrumented"`` — the paper-faithful probing hash table whose
         stats feed the cost model.  ``None`` consults the

@@ -19,10 +19,14 @@ Both phases dispatch their accumulation through a pluggable backend
 vectorized linear-probing engine in :mod:`repro.core.hashtable` and
 records slot-visit/probe counts plus the table-size-bucketed
 random-access histogram the cache model consumes.  The ``fast`` backend
-replaces the table with a sort/segmented-reduce and — when no symbolic
-counts or traces are requested — fuses both phases into a single pass
-(:func:`_spkadd_fast_fused`): the sort already yields the output sizes,
-so the symbolic table is pure overhead.
+— when no symbolic counts or traces are requested — fuses both phases
+into a single pass (:func:`_spkadd_fast_fused`): the output sizes fall
+out of the addition, so the symbolic table is pure overhead.  That pass
+runs the compiled per-column hash kernel of
+:mod:`repro.kernels.native` (Algorithm 5 in C: one table per column,
+then a radix sort of its distinct rows) when a C compiler is present,
+and a NumPy block loop (gather, composite keys, sort/segmented reduce,
+assemble) otherwise; both emit the same bytes.
 """
 
 from __future__ import annotations
@@ -141,21 +145,63 @@ def _spkadd_fast_fused(
     stats_symbolic: Optional[KernelStats],
     index_dtype=None,
 ) -> CSCMatrix:
-    """Single-pass sort/reduce SpKAdd (fast backend, no symbolic phase).
+    """Single-pass SpKAdd of the fast backend (no symbolic phase).
 
-    The sorted reduction produces each block's output directly in
-    (column, row) order, so the symbolic sizing pass the hash table
-    needs is unnecessary — its statistics (per-column output counts) are
-    byproducts of the reduction and still land in ``stats_symbolic`` so
-    facade callers see a populated two-phase result.  Output columns are
-    sorted even under ``sorted_output=False`` (sortedness is free here).
+    Runs the compiled per-column hash kernel
+    (:func:`repro.kernels.native.spkadd_columns`) when the library is
+    available, and the NumPy sort/reduce block loop otherwise; both emit
+    the same bytes.  Neither needs the symbolic sizing pass — its
+    statistics (per-column output counts) are byproducts of the addition
+    and still land in ``stats_symbolic`` so facade callers see a
+    populated two-phase result.  Output columns are sorted even under
+    ``sorted_output=False`` (sortedness is free here).
     """
-    from repro.kernels import resolve_index_dtype, resolve_value_dtype, sort_reduce
+    from repro.kernels import native, resolve_index_dtype, resolve_value_dtype
 
     shape = check_same_shape(mats)
-    m, n = shape
+    n = shape[1]
     value_dtype = resolve_value_dtype(mats)
     idx_dtype = resolve_index_dtype(mats, index_dtype)
+    compiled = native.spkadd_columns(mats, value_dtype, idx_dtype)
+    if compiled is not None:
+        indptr, indices, data, col_in = compiled
+        out = CSCMatrix(shape, indptr, indices, data, sorted=True, check=False)
+        col_out = np.diff(indptr).astype(np.int64, copy=False)
+    else:
+        out, col_in, col_out = _fast_fused_numpy(
+            mats, shape, block_cols, value_dtype, idx_dtype
+        )
+    in_nnz, out_nnz = int(col_in.sum()), out.nnz
+    st.input_nnz += in_nnz
+    st.output_nnz += out_nnz
+    st.bytes_read += in_nnz * ENTRY_BYTES
+    st.bytes_written += out_nnz * ENTRY_BYTES
+    st.col_in_nnz = col_in
+    st.col_out_nnz = col_out.copy()
+    st.col_ops = col_in.astype(np.float64)
+    if stats_symbolic is not None:
+        st_sym = stats_symbolic
+        st_sym.algorithm = st_sym.algorithm or "hash_symbolic"
+        st_sym.k = st.k
+        st_sym.n_cols = n
+        st_sym.input_nnz = st.input_nnz
+        st_sym.bytes_read = st.bytes_read
+        st_sym.col_in_nnz = col_in.copy()
+        st_sym.col_out_nnz = col_out.copy()
+        st_sym.output_nnz = out_nnz
+        st_sym.col_ops = col_in.astype(np.float64)
+    return out
+
+
+def _fast_fused_numpy(mats, shape, block_cols, value_dtype, idx_dtype):
+    """The fused SpKAdd as a NumPy block loop (gather, composite keys,
+    sort/reduce, assemble): the fallback when the compiled kernel is
+    unavailable.  Returns ``(matrix, col_in_nnz, col_out_nnz)``."""
+    # Looked up per call, so a wrapper installed on the module attribute
+    # (the benchmark's tracer) sees every call.
+    from repro.kernels import fast
+
+    m, n = shape
     bc = block_cols or choose_block_cols(mats)
     scratch = BlockScratch()
     blocks = []
@@ -169,34 +215,17 @@ def _spkadd_fast_fused(
         if rows.size == 0:
             continue
         keys = composite_keys(cols, rows, m, width=j1 - j0)
-        okeys, ovals = sort_reduce(keys, vals)
+        okeys, ovals = fast.sort_reduce(keys, vals)
         ocols, orows = split_keys(okeys, m)
         col_out[j0:j1] = np.bincount(ocols, minlength=j1 - j0)
         blocks.append((j0, ocols, orows, ovals))
-        st.input_nnz += int(rows.size)
-        st.output_nnz += int(okeys.size)
-        st.bytes_read += rows.size * ENTRY_BYTES
-        st.bytes_written += okeys.size * ENTRY_BYTES
-    st.col_in_nnz = col_in
-    st.col_out_nnz = col_out.copy()
-    st.col_ops = col_in.astype(np.float64)
-    if stats_symbolic is not None:
-        st_sym = stats_symbolic
-        st_sym.algorithm = st_sym.algorithm or "hash_symbolic"
-        st_sym.k = st.k
-        st_sym.n_cols = n
-        st_sym.input_nnz = st.input_nnz
-        st_sym.bytes_read = st.bytes_read
-        st_sym.col_in_nnz = col_in.copy()
-        st_sym.col_out_nnz = col_out.copy()
-        st_sym.output_nnz = int(col_out.sum())
-        st_sym.col_ops = col_in.astype(np.float64)
     # sort_reduce emits key-sorted (column-major, row-ascending) output,
     # so the matrix is sorted whether or not the caller asked for it.
-    return assemble_from_block_outputs(
+    out = assemble_from_block_outputs(
         shape, blocks, sorted=True,
         value_dtype=value_dtype, index_dtype=idx_dtype,
     )
+    return out, col_in, col_out
 
 
 def spkadd_hash(

@@ -5,7 +5,11 @@ backend                   engine
 ========================  ====================================================
 ``instrumented``          paper-faithful linear-probing hash table; source of
                           truth for slot-op/probe/cache-trace statistics
-``fast``                  sort + segmented reduce; bit-identical matrices, no
+``fast``                  the compiled per-column hash kernel
+                          (:mod:`repro.kernels.native`, paper Algorithm 5)
+                          for the fused SpKAdd, NumPy sort + segmented
+                          reduce without a C compiler and for bare
+                          ``accumulate`` calls; bit-identical matrices, no
                           stats, order-of-magnitude faster
 ========================  ====================================================
 

@@ -73,7 +73,34 @@ def sort_reduce(
     else:
         out_vals = np.zeros(n_out, dtype=out_dtype)
         np.add.at(out_vals, slot, vals)
+    if out_dtype.kind in "fc":
+        _restore_negative_zeros(out_vals, slot, vals)
     return out_keys, out_vals
+
+
+def _restore_negative_zeros(
+    out_vals: np.ndarray, slot: np.ndarray, vals: np.ndarray
+) -> None:
+    """Give ``-0.0`` back to the slots whose addends are all ``-0.0``;
+    ``slot[i]`` is the output slot of ``vals[i]``.
+
+    NumPy's scatter-adds seed every slot with ``+0.0`` instead of its
+    first addend.  Under round-to-nearest that changes one result only:
+    a sum is ``-0.0`` exactly when every addend is, and ``+0.0 + -0.0``
+    is ``+0.0``.  So the fix-up pays one comparison pass and touches the
+    addends only when some slot summed to zero.  Complex values are
+    fixed per component.
+    """
+    parts = [(out_vals, vals)]
+    if out_vals.dtype.kind == "c":
+        parts = [(out_vals.real, vals.real), (out_vals.imag, vals.imag)]
+    for out, add in parts:
+        zero = out == 0
+        if not zero.any():
+            continue
+        keeps_plus = np.zeros(out.size, dtype=bool)
+        keeps_plus[slot[~((add == 0) & np.signbit(add))]] = True
+        out[zero & ~keeps_plus] = -0.0
 
 
 class FastBackend(Backend):

@@ -1,0 +1,209 @@
+/*
+ * Per-column hash SpKAdd (paper Algorithm 5) over k CSC addends.
+ *
+ * For every output column j in [j0, j1):
+ *   1. the column's input entries are inserted, matrix by matrix and in
+ *      storage order, into a linear-probing table whose size is a power
+ *      of two above the column's input nnz.  A new row seeds its slot
+ *      with its first addend; later duplicates add left to right, so
+ *      the sums (including the sign of an all-(-0.0) sum) match the
+ *      instrumented table bit for bit;
+ *   2. the table slots of the distinct rows are sorted by row: an LSD
+ *      radix sort on (row - min_row), 8 bits per pass, skipping passes
+ *      whose digit is constant, or an insertion sort below SMALL_SORT
+ *      entries;
+ *   3. rows and sums are written in that order to the caller's output
+ *      buffers, whose capacity is the summed input nnz of the range.
+ *
+ * Specialized for input index type (int32/int64) x output index type
+ * (int32/int64) x value type (float32/float64/int64).  int64 sums wrap
+ * modulo 2**64 like NumPy's (signed overflow is undefined in C, so the
+ * add goes through uint64).  Build without -ffast-math so float sums
+ * stay IEEE and bit-stable.
+ *
+ * Every entry point returns the output nnz, or -1 when its scratch
+ * cannot be allocated.
+ */
+
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#define SMALL_SORT 32
+#define RADIX_BITS 8
+#define RADIX_SIZE (1 << RADIX_BITS)
+#define MAX_PASSES (64 / RADIX_BITS)
+#define FIB_MULT 0x9E3779B97F4A7C15ull
+
+/* A NaN partial sum is kept as is: when both operands are NaN, x86 and
+ * NumPy's ``acc += v`` return the accumulator's payload, but the C
+ * compiler may emit the commutative add either way round. */
+#define ADD_FLOAT(a, b) ((a) != (a) ? (a) : (a) + (b))
+#define ADD_WRAP(a, b) ((int64_t)((uint64_t)(a) + (uint64_t)(b)))
+
+/* repro.util.hashing.table_size_for: the smallest power of two >= 16
+ * above n, doubled once if the load factor would exceed 3/4.  It never
+ * decreases in n, so the scratch sized for the largest column fits
+ * every column's table. */
+static int64_t table_size_for(int64_t n)
+{
+    int64_t need = n + 1 < 16 ? 16 : n + 1;
+    int64_t size = 1;
+    while (size < need)
+        size <<= 1;
+    if (4 * n > 3 * size)
+        size <<= 1;
+    return size;
+}
+
+static int log2_of(int64_t pow2)
+{
+    int q = 0;
+    while (((int64_t)1 << q) < pow2)
+        ++q;
+    return q;
+}
+
+#define DIGIT(key, b) (((key) >> ((b) * RADIX_BITS)) & (RADIX_SIZE - 1))
+
+#define DEFINE_KERNEL(SUFFIX, IT, OT, VT, ADD)                                 \
+int64_t repro_spkadd_##SUFFIX(                                                 \
+    int64_t k, int64_t j0, int64_t j1,                                         \
+    const int64_t *const *indptr, const IT *const *indices,                   \
+    const VT *const *data,                                                     \
+    OT *out_indptr, OT *out_indices, VT *out_data, int64_t *col_in)            \
+{                                                                              \
+    int64_t max_in = 0;                                                        \
+    for (int64_t j = j0; j < j1; ++j) {                                        \
+        int64_t c = 0;                                                         \
+        for (int64_t i = 0; i < k; ++i)                                        \
+            c += indptr[i][j + 1] - indptr[i][j];                              \
+        col_in[j - j0] = c;                                                    \
+        if (c > max_in)                                                        \
+            max_in = c;                                                        \
+    }                                                                          \
+    out_indptr[0] = 0;                                                         \
+    int64_t tcap = table_size_for(max_in);                                     \
+    if (tcap > ((int64_t)1 << 32))                                             \
+        return -1; /* slot ids and radix counts are 32-bit */                  \
+    IT *trow = malloc((size_t)tcap * sizeof(IT));                              \
+    VT *tval = malloc((size_t)tcap * sizeof(VT));                              \
+    uint32_t *slots = malloc((size_t)(max_in + 1) * sizeof(uint32_t));         \
+    uint32_t *spare = malloc((size_t)(max_in + 1) * sizeof(uint32_t));         \
+    uint32_t counts[MAX_PASSES][RADIX_SIZE];                                   \
+    int64_t nnz = -1;                                                          \
+    if (!trow || !tval || !slots || !spare)                                    \
+        goto done;                                                             \
+    for (int64_t s = 0; s < tcap; ++s)                                         \
+        trow[s] = -1;                                                          \
+    nnz = 0;                                                                   \
+    for (int64_t j = j0; j < j1; ++j) {                                        \
+        int64_t cnt = col_in[j - j0];                                          \
+        int64_t d = 0;                                                         \
+        if (cnt > 0) {                                                         \
+            int64_t tsize = table_size_for(cnt);                               \
+            uint64_t mask = (uint64_t)tsize - 1;                               \
+            int shift = 64 - log2_of(tsize);                                   \
+            for (int64_t i = 0; i < k; ++i) {                                  \
+                const IT *ri = indices[i];                                     \
+                const VT *vi = data[i];                                        \
+                int64_t p1 = indptr[i][j + 1];                                 \
+                for (int64_t p = indptr[i][j]; p < p1; ++p) {                  \
+                    IT r = ri[p];                                              \
+                    VT v = vi[p];                                              \
+                    uint64_t h = ((uint64_t)r * FIB_MULT) >> shift;            \
+                    for (;;) {                                                 \
+                        IT t = trow[h];                                        \
+                        if (t == r) {                                          \
+                            tval[h] = ADD(tval[h], v);                         \
+                            break;                                             \
+                        }                                                      \
+                        if (t < 0) {                                           \
+                            trow[h] = r;                                       \
+                            tval[h] = v;                                       \
+                            slots[d++] = (uint32_t)h;                          \
+                            break;                                             \
+                        }                                                      \
+                        h = (h + 1) & mask;                                    \
+                    }                                                          \
+                }                                                              \
+            }                                                                  \
+        }                                                                      \
+        uint32_t *order = slots;                                               \
+        if (d < SMALL_SORT) {                                                  \
+            for (int64_t s = 1; s < d; ++s) {                                  \
+                uint32_t h = slots[s];                                         \
+                IT r = trow[h];                                                \
+                int64_t t = s;                                                 \
+                for (; t > 0 && trow[slots[t - 1]] > r; --t)                   \
+                    slots[t] = slots[t - 1];                                   \
+                slots[t] = h;                                                  \
+            }                                                                  \
+        } else {                                                               \
+            IT lo = trow[slots[0]], hi = lo;                                   \
+            for (int64_t s = 1; s < d; ++s) {                                  \
+                IT r = trow[slots[s]];                                         \
+                lo = r < lo ? r : lo;                                          \
+                hi = r > hi ? r : hi;                                          \
+            }                                                                  \
+            uint64_t span = (uint64_t)hi - (uint64_t)lo;                       \
+            int n_pass = 0;                                                    \
+            while (n_pass < MAX_PASSES && (span >> (n_pass * RADIX_BITS)))     \
+                ++n_pass;                                                      \
+            memset(counts, 0, sizeof(counts[0]) * (size_t)n_pass);             \
+            for (int64_t s = 0; s < d; ++s) {                                  \
+                uint64_t key = (uint64_t)trow[slots[s]] - (uint64_t)lo;        \
+                for (int b = 0; b < n_pass; ++b)                               \
+                    ++counts[b][DIGIT(key, b)];                                \
+            }                                                                  \
+            uint64_t first = (uint64_t)trow[slots[0]] - (uint64_t)lo;          \
+            uint32_t *from = slots, *to = spare;                               \
+            for (int b = 0; b < n_pass; ++b) {                                 \
+                uint32_t *c = counts[b];                                       \
+                if (c[DIGIT(first, b)] == (uint32_t)d)                         \
+                    continue;                                                  \
+                uint32_t run = 0;                                              \
+                for (int x = 0; x < RADIX_SIZE; ++x) {                         \
+                    uint32_t here = c[x];                                      \
+                    c[x] = run;                                                \
+                    run += here;                                               \
+                }                                                              \
+                for (int64_t s = 0; s < d; ++s) {                              \
+                    uint32_t h = from[s];                                      \
+                    uint64_t key = (uint64_t)trow[h] - (uint64_t)lo;           \
+                    to[c[DIGIT(key, b)]++] = h;                                \
+                }                                                              \
+                uint32_t *swap = from;                                         \
+                from = to;                                                     \
+                to = swap;                                                     \
+            }                                                                  \
+            order = from;                                                      \
+        }                                                                      \
+        OT *rows_out = out_indices + nnz;                                      \
+        VT *vals_out = out_data + nnz;                                         \
+        for (int64_t s = 0; s < d; ++s) {                                      \
+            uint32_t h = order[s];                                             \
+            rows_out[s] = (OT)trow[h];                                         \
+            vals_out[s] = tval[h];                                             \
+            trow[h] = -1;                                                      \
+        }                                                                      \
+        nnz += d;                                                              \
+        out_indptr[j - j0 + 1] = (OT)nnz;                                      \
+    }                                                                          \
+done:                                                                          \
+    free(trow);                                                                \
+    free(tval);                                                                \
+    free(slots);                                                               \
+    free(spare);                                                               \
+    return nnz;                                                                \
+}
+
+#define DEFINE_VALUES(IN, IT, OUT, OT)                                         \
+    DEFINE_KERNEL(IN##_##OUT##_f32, IT, OT, float, ADD_FLOAT)                  \
+    DEFINE_KERNEL(IN##_##OUT##_f64, IT, OT, double, ADD_FLOAT)                 \
+    DEFINE_KERNEL(IN##_##OUT##_i64, IT, OT, int64_t, ADD_WRAP)
+
+DEFINE_VALUES(i32, int32_t, i32, int32_t)
+DEFINE_VALUES(i32, int32_t, i64, int64_t)
+DEFINE_VALUES(i64, int64_t, i32, int32_t)
+DEFINE_VALUES(i64, int64_t, i64, int64_t)

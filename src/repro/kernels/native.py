@@ -1,0 +1,324 @@
+"""Loader for the compiled per-column hash SpKAdd kernel (``native.c``).
+
+The ``fast`` backend's fused SpKAdd runs through the C kernel shipped
+next to this module whenever the system C compiler can build it, and
+through the NumPy block loop otherwise.  Nothing selects the path but
+that platform property: there is no option and no environment knob.
+
+* **Build.**  On first use the source is compiled with ``cc -O2 -fPIC
+  -shared`` (no ``-ffast-math``/``-march=native``: float sums stay IEEE
+  and the library is portable across the machines sharing a cache) into
+  a per-user cache — ``$XDG_CACHE_HOME/repro`` or ``~/.cache/repro``,
+  then ``<tempdir>/repro-<uid>``.  The file name carries a hash of the
+  source, the compiler's version banner and the flags, so an edit or a
+  compiler upgrade builds a new file.  The compiler writes a unique
+  temporary name that is then ``os.replace``-d into place, so processes
+  building at once each publish a complete file and no partial file is
+  ever visible under the final name.  A cached file that fails to load
+  is rebuilt once.
+* **Load.**  ``ctypes.CDLL`` once per process (:func:`library`).  The
+  shared-memory engine resolves the library in the parent and ships its
+  path with the call; workers only ``dlopen`` it (:func:`adopt`).
+* **Fallback.**  No compiler, a failed build, an unusable cache, a
+  library that will not load, or a dtype the kernel lacks (complex,
+  unsigned, half or non-native-endian values) leaves the caller on the
+  NumPy loop.  The first fallback of a process warns once;
+  :func:`fallback_reason` keeps the latest reason inspectable.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import os
+import shutil
+import subprocess
+import tempfile
+import threading
+import warnings
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
+
+#: the kernel source shipped inside the package (see setup.py
+#: package_data).
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
+
+#: compiler flags; part of the cache key.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+#: bound on one compiler invocation (seconds).
+COMPILE_TIMEOUT_S = 120.0
+
+_INDEX_CODES = {np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
+_VALUE_CODES = {
+    np.dtype(np.float32): "f32",
+    np.dtype(np.float64): "f64",
+    np.dtype(np.int64): "i64",
+}
+
+
+class _State:
+    """Per-process loader state (a fresh process starts unresolved)."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.resolved = False
+        self.lib: Optional[ctypes.CDLL] = None
+        self.path: Optional[str] = None
+        self.reason: Optional[str] = None
+        self.warned = False
+
+
+_STATE = _State()
+
+
+def compiler() -> Optional[str]:
+    """The system C compiler on ``PATH`` (``cc``, else ``gcc``)."""
+    return shutil.which("cc") or shutil.which("gcc")
+
+
+def cache_dirs() -> List[str]:
+    """Candidate cache directories, most preferred first."""
+    xdg = os.environ.get("XDG_CACHE_HOME")
+    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
+    uid = os.getuid() if hasattr(os, "getuid") else 0
+    return [
+        os.path.join(base, "repro"),
+        os.path.join(tempfile.gettempdir(), f"repro-{uid}"),
+    ]
+
+
+def library() -> Optional[ctypes.CDLL]:
+    """The loaded kernel library, building it on first use; ``None``
+    when it cannot be had (see :func:`fallback_reason`)."""
+    state = _STATE
+    if not state.resolved:
+        with state.lock:
+            if not state.resolved:
+                try:
+                    state.lib, state.path = _build_and_load()
+                except _Unavailable as exc:
+                    _note_fallback(str(exc))
+                state.resolved = True
+    return state.lib
+
+
+def library_path() -> Optional[str]:
+    """Path of the loaded library (``None`` on the NumPy path): what
+    the shared-memory engine ships to its workers."""
+    return _STATE.path if library() is not None else None
+
+
+def adopt(path: Optional[str]) -> None:
+    """Use the library the parent resolved (worker side): ``dlopen``
+    ``path`` without building, or stay on NumPy when it is ``None``.
+
+    Takes no lock: a pool worker runs one task at a time, and a worker
+    forked while the parent held the build lock must not wait on it."""
+    state = _STATE
+    state.resolved = True
+    if path is None:
+        state.lib, state.path = None, None
+        state.reason = "the calling process runs without the native kernel"
+        return
+    if state.lib is not None and state.path == path:
+        return
+    try:
+        state.lib, state.path = _load(path), path
+    except (OSError, AttributeError) as exc:
+        state.lib, state.path = None, None
+        _note_fallback(f"cannot load {path}: {exc}")
+
+
+def fallback_reason() -> Optional[str]:
+    """Why the most recent fallback to the NumPy loop happened, or
+    ``None`` if this process has not fallen back."""
+    return _STATE.reason
+
+
+def _note_fallback(reason: str) -> None:
+    """Record ``reason``; the first fallback of the process warns."""
+    state = _STATE
+    state.reason = reason
+    if not state.warned:
+        state.warned = True
+        warnings.warn(
+            f"native SpKAdd kernel unavailable ({reason}); the fast "
+            "backend uses its NumPy loop (shown once per process)",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+
+
+class _Unavailable(Exception):
+    """The library cannot be built or loaded; the message says why."""
+
+
+def _load(path: str) -> ctypes.CDLL:
+    lib = ctypes.CDLL(path)
+    for i in _INDEX_CODES.values():
+        for o in _INDEX_CODES.values():
+            for v in _VALUE_CODES.values():
+                fn = getattr(lib, f"repro_spkadd_{i}_{o}_{v}")
+                fn.restype = ctypes.c_int64
+                fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
+    return lib
+
+
+def _cache_key(cc: str) -> str:
+    try:
+        banner = subprocess.run(
+            [cc, "--version"], capture_output=True, timeout=COMPILE_TIMEOUT_S,
+            check=True,
+        ).stdout
+        with open(SOURCE, "rb") as fh:
+            source = fh.read()
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"cannot query compiler {cc}: {exc}") from exc
+    digest = hashlib.sha256()
+    for part in (source, banner, " ".join(CFLAGS).encode()):
+        digest.update(part)
+        digest.update(b"\0")
+    return digest.hexdigest()[:16]
+
+
+def _private_dir(path: str) -> bool:
+    """Create ``path`` (mode 0700) if needed; True when it is a
+    directory owned by this user that nobody else can write to, so a
+    library loaded from it cannot have been planted."""
+    try:
+        os.makedirs(path, mode=0o700, exist_ok=True)
+        st = os.stat(path)
+    except OSError:
+        return False
+    if hasattr(os, "getuid") and st.st_uid != os.getuid():
+        return False
+    return not st.st_mode & 0o022
+
+
+def _compile(cc: str, final: str) -> None:
+    """Compile into a unique temporary name beside ``final`` and move
+    it into place atomically; the temporary never outlives the call."""
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=os.path.basename(final) + ".", suffix=".tmp",
+            dir=os.path.dirname(final),
+        )
+        os.close(fd)
+    except OSError as exc:
+        raise _Unavailable(f"cannot write to {os.path.dirname(final)}: {exc}") from exc
+    try:
+        proc = subprocess.run(
+            [cc, *CFLAGS, "-o", tmp, SOURCE],
+            capture_output=True, timeout=COMPILE_TIMEOUT_S,
+        )
+        if proc.returncode != 0:
+            err = proc.stderr.decode(errors="replace").strip().splitlines()
+            raise _Unavailable(
+                f"{cc} failed with status {proc.returncode}: "
+                f"{err[-1] if err else 'no diagnostics'}"
+            )
+        os.chmod(tmp, 0o755)
+        os.replace(tmp, final)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"cannot compile {SOURCE}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _build_and_load() -> Tuple[ctypes.CDLL, str]:
+    """Load the cached library, building it if absent or unloadable;
+    returns it and its path.  Raises :class:`_Unavailable`."""
+    cc = compiler()
+    if cc is None:
+        raise _Unavailable("no C compiler (cc/gcc) on PATH")
+    name = f"spkadd-{_cache_key(cc)}.so"
+    problems = []
+    for directory in cache_dirs():
+        if not _private_dir(directory):
+            problems.append(f"{directory} is not a private writable directory")
+            continue
+        final = os.path.join(directory, name)
+        if os.path.exists(final):
+            try:
+                return _load(final), final
+            except (OSError, AttributeError):
+                pass  # corrupt or stale: rebuild over it
+        try:
+            _compile(cc, final)
+        except _Unavailable as exc:
+            problems.append(str(exc))
+            continue
+        try:
+            return _load(final), final
+        except (OSError, AttributeError) as exc:
+            raise _Unavailable(f"cannot load {final}: {exc}") from exc
+    raise _Unavailable("; ".join(problems))
+
+
+def spkadd_columns(
+    mats: Sequence, value_dtype: np.dtype, index_dtype: np.dtype
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """``sum(mats)`` through the C kernel: ``(indptr, indices, data,
+    col_in_nnz)`` with sorted columns, or ``None`` when the caller must
+    use its NumPy loop.
+
+    Values sum in ``value_dtype`` and indices are emitted in
+    ``index_dtype`` (both resolved by the caller for the whole call).
+    The returned arrays hold exactly the output nnz.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    value_dtype, index_dtype = np.dtype(value_dtype), np.dtype(index_dtype)
+    v_code = _VALUE_CODES.get(value_dtype) if value_dtype.isnative else None
+    o_code = _INDEX_CODES.get(index_dtype) if index_dtype.isnative else None
+    if v_code is None or o_code is None:
+        _note_fallback(
+            f"the kernel has no {value_dtype} values with {index_dtype} indices"
+        )
+        return None
+    in_dtype = np.dtype(np.int32)
+    if not all(np.can_cast(A.indices.dtype, in_dtype) for A in mats):
+        in_dtype = np.dtype(np.int64)
+    # The kernel reads native contiguous buffers; these are no-ops for
+    # the usual inputs and copies for mixed or strided ones.
+    indptrs = [np.require(A.indptr, np.int64, "C") for A in mats]
+    indices = [np.require(A.indices, in_dtype, "C") for A in mats]
+    datas = [np.require(A.data, value_dtype, "C") for A in mats]
+    n = mats[0].shape[1]
+    for p, ix, dv in zip(indptrs, indices, datas):
+        # The kernel trusts these bounds; an unchecked matrix that
+        # breaks them must fail here, not read or write out of bounds.
+        if (p.size != n + 1 or p[0] < 0 or p[n] > min(ix.size, dv.size)
+                or (p[1:] < p[:-1]).any()):
+            raise ValueError(
+                "malformed CSC addend: indptr must have n+1 nondecreasing "
+                "entries within the indices/data arrays"
+            )
+    total = sum(int(p[n]) - int(p[0]) for p in indptrs)
+    out_indptr = np.empty(n + 1, dtype=index_dtype)
+    out_indices = np.empty(total, dtype=index_dtype)
+    out_data = np.empty(total, dtype=value_dtype)
+    col_in = np.empty(n, dtype=np.int64)
+    fn = getattr(lib, f"repro_spkadd_{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}")
+    nnz = fn(
+        len(mats), 0, n,
+        _pointers(indptrs), _pointers(indices), _pointers(datas),
+        out_indptr.ctypes.data, out_indices.ctypes.data,
+        out_data.ctypes.data, col_in.ctypes.data,
+    )
+    if nnz < 0:
+        raise MemoryError("native SpKAdd kernel could not allocate its tables")
+    if nnz < total:
+        # Shrink the upper-bound buffers in place (realloc), so only
+        # nnz(B) entries stay allocated.
+        out_indices.resize(nnz, refcheck=False)
+        out_data.resize(nnz, refcheck=False)
+    return out_indptr, out_indices, out_data, col_in
+
+
+def _pointers(arrays: Sequence[np.ndarray]) -> ctypes.Array:
+    return (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))

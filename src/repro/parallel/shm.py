@@ -465,12 +465,17 @@ _WORKER_SESSION: dict = {"id": None, "attach": None, "mats": None, "meta": None}
 def _ensure_session(session: dict) -> dict:
     state = _WORKER_SESSION
     if state["id"] != session["id"]:
+        from repro.kernels import native
+
         state["mats"] = None  # drop matrix views before closing mappings
         if state["attach"] is not None:
             state["attach"].close()
         state["id"] = session["id"]
         state["attach"] = SegmentAttachments()
         state["meta"] = session
+        # The parent built (or failed to build) the compiled kernel;
+        # workers load what it resolved and never run the compiler.
+        native.adopt(session["native_library"])
     return state
 
 
@@ -742,6 +747,7 @@ class SharedMemoryPool:
                 "method": method,
                 "sorted_output": sorted_output,
                 "kwargs": kwargs,
+                "native_library": _native_library(method, kwargs),
             }
             # Scratch staging slots, sized by each chunk's summed input
             # nnz — an exact upper bound on its output nnz — in the
@@ -832,6 +838,19 @@ class SharedMemoryPool:
         finally:
             registry.unlink()
         return out, stat_items
+
+
+def _native_library(method: str, kwargs: dict) -> Optional[str]:
+    """Path of the compiled SpKAdd kernel for a call whose chunks run
+    the fast fused hash (resolved here, in the parent, so workers only
+    load it); ``None`` for every other call."""
+    from repro.kernels import native, resolve_backend
+
+    if method not in ("hash", "hash_unsorted"):
+        return None
+    if resolve_backend(kwargs.get("backend")).name != "fast":
+        return None
+    return native.library_path()
 
 
 #: default engine used by ``executor="shm"`` — its workers persist

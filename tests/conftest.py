@@ -91,3 +91,18 @@ def small_collection():
 def tiny_collection():
     """Three 12x4 matrices — for loop-level reference kernels."""
     return random_collection(3, 12, 4, 3, nnz_lo=2, nnz_hi=10)
+
+
+@pytest.fixture(params=["native", "numpy"])
+def native_mode(request, monkeypatch):
+    """Run a fast-backend case twice: with the compiled SpKAdd kernel
+    loaded, and with the loader forced to report no library (the NumPy
+    loop).  Both runs must produce the same bytes."""
+    from repro.kernels import native
+
+    if request.param == "native":
+        if native.library() is None:
+            pytest.skip(f"no native kernel: {native.fallback_reason()}")
+    else:
+        monkeypatch.setattr(native, "library", lambda: None)
+    return request.param

@@ -123,9 +123,11 @@ WORKLOADS = [
 ]
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestCrossBackendEquivalence:
-    """ISSUE satellite: fast == instrumented on ER/RMAT inputs for all
-    hash-family methods x sorted_output x threads."""
+    """fast == instrumented on ER/RMAT inputs for all hash-family
+    methods x sorted_output x threads, with the compiled kernel loaded
+    and with it forced off."""
 
     @pytest.mark.parametrize("pattern", [w[0] for w in WORKLOADS])
     @pytest.mark.parametrize("method", ["hash", "sliding_hash"])
@@ -197,7 +199,7 @@ class TestCrossBackendEquivalence:
 
 @settings(**COMMON)
 @given(matrix_collection(), st.booleans(), st.integers(1, 4))
-def test_property_cross_backend(mats, sorted_output, threads):
+def test_property_cross_backend(native_mode, mats, sorted_output, threads):
     """Property: every random collection sums bit-identically on both
     backends, any sortedness, any thread count."""
     fast = spkadd(

@@ -172,6 +172,7 @@ class TestScipyRoundTrip:
         assert from_scipy(s, "coo").vals.dtype == dtype
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestFacadeOverride:
     def test_preservation_default(self):
         mats = int_collection(4, np.int64, lo=BIG, hi=BIG + 10)

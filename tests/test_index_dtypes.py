@@ -235,6 +235,7 @@ class TestScipyRoundTrip:
         assert ours.indices.dtype == np.int64
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestConformance:
     #: index-dtype axis: the width the *inputs* are stored in.  The
     #: emitted width is bounds-resolved (identical across the axis),
@@ -302,6 +303,7 @@ class TestConformance:
             assert_bit_identical(ref.matrix, run(mats, executor).matrix)
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestOverride:
     def test_override_applies_to_every_method(self):
         mats = index_collection([np.int32] * 3, seed=5)
@@ -351,6 +353,7 @@ class TestOverride:
         assert "idx=int64" in out
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestOverflowPromotion:
     """The int32 -> int64 safe-widening guard, exercised two ways: at
     the real 2**31 boundary on the layout arithmetic (cheap — only the

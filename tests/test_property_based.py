@@ -27,7 +27,11 @@ from repro.formats.ops import matrices_equal, sum_with_scipy
 COMMON = dict(
     deadline=None,
     max_examples=25,
-    suppress_health_check=[HealthCheck.too_slow],
+    # ``native_mode`` (compiled kernel loaded / forced off) holds for
+    # every example of a test, so a function-scoped fixture is intended.
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
 )
 
 
@@ -116,7 +120,7 @@ def dense_sum(mats):
 
 @settings(**COMMON)
 @given(matrix_collection())
-def test_every_method_matches_oracle(mats):
+def test_every_method_matches_oracle(native_mode, mats):
     # Dense-value comparison: our kernels keep explicit zeros produced
     # by cancellation (structural nnz semantics), scipy prunes them.
     expect = dense_sum(mats)
@@ -127,7 +131,7 @@ def test_every_method_matches_oracle(mats):
 
 @settings(**COMMON)
 @given(matrix_collection())
-def test_output_nnz_bounded_by_input(mats):
+def test_output_nnz_bounded_by_input(native_mode, mats):
     total_in = sum(m.nnz for m in mats)
     out = spkadd(mats, method="hash").matrix
     assert out.nnz <= total_in
@@ -196,7 +200,7 @@ def test_column_split_concat_identity(mat):
 
 @settings(**COMMON)
 @given(matrix_collection(), st.integers(1, 4))
-def test_parallel_equals_sequential(mats, threads):
+def test_parallel_equals_sequential(native_mode, mats, threads):
     seq = spkadd(mats, method="hash").matrix
     par = spkadd(mats, method="hash", threads=threads).matrix
     assert matrices_equal(seq, par)
@@ -219,11 +223,7 @@ def test_streaming_batch_size_invariant(mats, batch):
 # identical to the thread path through all of it.
 # ---------------------------------------------------------------------------
 
-SHM_COMMON = dict(
-    deadline=None,
-    max_examples=10,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+SHM_COMMON = dict(COMMON, max_examples=10)
 
 
 def assert_bitwise_equal(a, b):
@@ -236,7 +236,9 @@ def assert_bitwise_equal(a, b):
 
 @settings(**SHM_COMMON)
 @given(matrix_collection(), st.integers(2, 5), st.integers(1, 3))
-def test_shm_ragged_chunks_match_thread(mats, threads, chunks_per_thread):
+def test_shm_ragged_chunks_match_thread(
+    native_mode, mats, threads, chunks_per_thread
+):
     ref = spkadd(
         mats, method="hash", threads=threads, executor="thread",
         chunks_per_thread=chunks_per_thread,
@@ -252,7 +254,7 @@ def test_shm_ragged_chunks_match_thread(mats, threads, chunks_per_thread):
 @settings(**SHM_COMMON)
 @given(csc_matrix(max_m=30, max_n=6, max_nnz=40), st.integers(1, 4),
        st.integers(2, 4))
-def test_shm_cancellation_and_duplicates(mat, copies, threads):
+def test_shm_cancellation_and_duplicates(native_mode, mat, copies, threads):
     """Duplicate-heavy collections with exact cancellation: addends
     alternate +A, -A so every partial sum cancels exactly, leaving all
     explicit zeros — which SpKAdd keeps as structural nonzeros,
@@ -268,7 +270,7 @@ def test_shm_cancellation_and_duplicates(mat, copies, threads):
 
 @settings(**SHM_COMMON)
 @given(matrix_collection(max_k=4, dtype_axis=True), st.integers(2, 4))
-def test_shm_dtype_axis_bitwise_and_resolved(mats, threads):
+def test_shm_dtype_axis_bitwise_and_resolved(native_mode, mats, threads):
     """Fuzz the value-dtype axis: per-matrix dtypes drawn independently
     (mixed collections included).  Every executor must produce the
     resolved dtype and bitwise-identical values."""
@@ -288,7 +290,7 @@ def test_shm_dtype_axis_bitwise_and_resolved(mats, threads):
 @settings(**COMMON)
 @given(matrix_collection(max_k=4, index_axis=True, int_values=True),
        st.randoms())
-def test_index_dtype_axis_resolved_and_exact(mats, rnd):
+def test_index_dtype_axis_resolved_and_exact(native_mode, mats, rnd):
     """Fuzz the index-dtype axis: inputs stored at random i32/i64
     widths, sorted or unsorted.  The output's indices/indptr must carry
     the call-resolved width and the sum must equal the scipy baseline
@@ -324,7 +326,7 @@ def test_index_dtype_axis_resolved_and_exact(mats, rnd):
 
 @settings(**SHM_COMMON)
 @given(matrix_collection(max_k=3, index_axis=True), st.integers(2, 4))
-def test_shm_index_axis_bitwise(mats, threads):
+def test_shm_index_axis_bitwise(native_mode, mats, threads):
     """Mixed-width inputs through every executor: one resolved output
     width, bit-identical arrays."""
     from repro.kernels import resolve_index_dtype
@@ -343,7 +345,7 @@ def test_shm_index_axis_bitwise(mats, threads):
 
 @settings(**SHM_COMMON)
 @given(matrix_collection(max_k=3), st.integers(2, 4))
-def test_shm_all_zero_and_empty_chunks(mats, threads):
+def test_shm_all_zero_and_empty_chunks(native_mode, mats, threads):
     """Pad the collection with all-zero addends (empty column blocks in
     every chunk) and compare against the serial oracle."""
     shape = mats[0].shape

@@ -54,6 +54,7 @@ def canonical(mat: CSCMatrix) -> CSCMatrix:
     return out
 
 
+@pytest.mark.usefixtures("native_mode")
 class TestConformance:
     @pytest.mark.parametrize(
         "method", ["hash", "sliding_hash", "spa", "heap", "2way_tree",
