@@ -16,8 +16,9 @@ Modes
     best-of.  The native series times the serial fast backend with
     the compiled kernel, with it forced off (the NumPy loop) and a raw
     scipy pairwise fold, paired, on that workload and on a ~1M-nnz
-    k=16 shape, and reports medians with quartiles.  Finishes in
-    about a minute — suitable for CI.
+    k=16 shape, and reports medians with quartiles; on the k=16 shape a
+    paired ``replay`` leg times the same call from a cached plan.
+    Finishes in about a minute — suitable for CI.
 default (no flag)
     Adds the RMAT pattern, a larger k, and thread sweeps.
 
@@ -55,10 +56,17 @@ from repro.core.api import BACKEND_AWARE_METHODS  # noqa: E402
 
 
 def _time_call(fn, repeats: int):
-    """Best-of-``repeats`` wall-clock seconds (and the last result)."""
+    """Best-of-``repeats`` wall-clock seconds (and the last result).
+
+    This process's SpKAdd pattern cache is emptied before each call, so
+    a repeat times the kernel, not a plan replay (shm workers keep
+    their own caches)."""
+    from repro.kernels import native
+
     best = float("inf")
     result = None
     for _ in range(repeats):
+        native._clear_plans()
         t0 = time.perf_counter()
         result = fn()
         best = min(best, time.perf_counter() - t0)
@@ -140,13 +148,16 @@ def _spread(walls):
             "max_s": round(max(walls), 6)}
 
 
-def bench_native_series(shapes, *, repeats, records):
+def bench_native_series(shapes, *, repeats, records, replay_shapes=()):
     """Serial SpKAdd per shape: the fast backend with the compiled
-    kernel, the same call with the loader forced off (the NumPy loop),
-    and a raw scipy pairwise fold.  Legs alternate within each repeat
-    (paired); the record's ``wall_s`` is the median, ``spread`` the
-    quartiles.  Returns ``{shape: {leg: median_s}}`` (empty when the
-    kernel cannot be built here)."""
+    kernel (its pattern cache emptied before each call, so the kernel
+    runs), the same call with the loader forced off (the NumPy loop),
+    and a raw scipy pairwise fold.  Shapes in ``replay_shapes`` add a
+    ``replay`` leg: the same call once its plan is cached, so only the
+    value replay runs.  Legs alternate within each repeat (paired); the
+    record's ``wall_s`` is the median, ``spread`` the quartiles.
+    Returns ``{shape: {leg: median_s}}`` (empty when the kernel cannot
+    be built here)."""
     from repro.kernels import native
 
     if native.library() is None:
@@ -161,20 +172,42 @@ def bench_native_series(shapes, *, repeats, records):
         finally:
             native.library = saved
 
+    def kernel(mats):
+        native._clear_plans()
+        return repro.spkadd(mats)
+
+    def plan(mats):
+        """Untimed: cache the plan of ``mats`` (second sighting)."""
+        native._clear_plans()
+        repro.spkadd(mats)
+        repro.spkadd(mats)
+
     out = {}
     for name, mats in shapes.items():
         legs = {
-            "native": lambda: repro.spkadd(mats),
+            "native": lambda: kernel(mats),
             "numpy": lambda: numpy_loop(mats),
             "scipy_fold": _scipy_fold(mats),
         }
-        a, b = legs["native"]().matrix, legs["numpy"]().matrix
-        if any(getattr(a, f).tobytes() != getattr(b, f).tobytes()
-               for f in ("indptr", "indices", "data")):
-            raise AssertionError(f"{name}: native != NumPy loop")
+        prepare = {}
+        if name in replay_shapes:
+            legs["replay"] = lambda: repro.spkadd(mats)
+            prepare["replay"] = lambda: plan(mats)
+        a = legs["native"]().matrix
+        for leg in ("numpy", "replay"):
+            if leg not in legs:
+                continue
+            if leg in prepare:
+                prepare[leg]()
+            b = legs[leg]().matrix
+            if any(getattr(a, f).tobytes() != getattr(b, f).tobytes()
+                   for f in ("indptr", "indices", "data")):
+                raise AssertionError(f"{name}: native != {leg}")
         walls = {leg: [] for leg in legs}
         for _ in range(repeats):
             for leg, fn in legs.items():
+                if leg in prepare:
+                    prepare[leg]()
                 t0 = time.perf_counter()
                 fn()
                 walls[leg].append(time.perf_counter() - t0)
@@ -187,6 +220,7 @@ def bench_native_series(shapes, *, repeats, records):
                 "workload": f"{name}_serial_{leg}",
                 "method": "hash" if leg != "scipy_fold" else "scipy_fold",
                 "backend": {"native": "fast", "numpy": "fast(numpy)",
+                            "replay": "fast(replay)",
                             "scipy_fold": "-"}[leg],
                 "executor": "-",
                 "threads": 1,
@@ -234,6 +268,7 @@ def main(argv=None) -> int:
             ),
         },
         repeats=max(args.repeats, 9), records=records,
+        replay_shapes=("er_k16_d16_repeat_shape",),
     )
 
     # Executor series: the same hash/fast workload on both worker-pool
@@ -704,9 +739,15 @@ def main(argv=None) -> int:
     )
     print(f"hash native-vs-numpy speedup (serial, k=16, m=2^16, d=16): "
           f"{native_speedup}x")
+    replay_speedup = (
+        round(repeat_legs["native"] / repeat_legs["replay"], 2)
+        if repeat_legs else None
+    )
+    print(f"hash plan replay-vs-kernel speedup (serial, k=16, m=2^16, "
+          f"d=16): {replay_speedup}x")
 
     payload = {
-        "schema": 10,
+        "schema": 11,
         "preset": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -723,6 +764,7 @@ def main(argv=None) -> int:
             "gateway_microbatch_vs_per_request_speedup": gateway_speedup,
             "spgemm_fast_shm_vs_serial_speedup": spgemm_speedup,
             "hash_native_vs_numpy_speedup": native_speedup,
+            "hash_plan_replay_vs_kernel_speedup": replay_speedup,
         },
         "results": records,
     }

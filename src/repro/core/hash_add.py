@@ -47,7 +47,11 @@ from repro.core.blocks import (
 from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
 from repro.formats.csc import CSCMatrix
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 from repro.util.hashing import table_size_for
 
 #: table entry bytes: symbolic stores a 32-bit index; the addition phase
@@ -201,6 +205,7 @@ def _fast_fused_numpy(mats, shape, block_cols, value_dtype, idx_dtype):
     # (the benchmark's tracer) sees every call.
     from repro.kernels import fast
 
+    check_row_bounds(mats)
     m, n = shape
     bc = block_cols or choose_block_cols(mats)
     scratch = BlockScratch()
@@ -280,6 +285,7 @@ def spkadd_hash(
             stats_symbolic=stats_symbolic,
             index_dtype=index_dtype,
         )
+    check_row_bounds(mats)
     if col_out_nnz is None:
         col_out_nnz = hash_symbolic(
             mats, block_cols=block_cols, stats=stats_symbolic,

@@ -38,6 +38,7 @@ from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
 from repro.formats.compressed import resolve_index_dtype
 from repro.formats.csc import CSCMatrix
+from repro.kernels.fast import _restore_negative_zeros
 from repro.parallel.partition import row_partition_bounds
 from repro.util.checks import check_nonempty, check_same_shape
 
@@ -57,7 +58,9 @@ def _accumulate_dense(rows: np.ndarray, vals: np.ndarray, m: int):
     ``bincount``'s C loop is the fast path for float64 weights but
     always emits float64, so every other dtype scatters with the
     equally in-order ``np.add.at`` — integer sums stay exact integers
-    and float32 stays float32.
+    and float32 stays float32.  Both seed the dense array with ``+0.0``,
+    so a row whose addends are all ``-0.0`` gets its sign back from
+    :func:`~repro.kernels.fast._restore_negative_zeros`.
     """
     touched = np.bincount(rows, minlength=m)
     idx = np.flatnonzero(touched)
@@ -66,7 +69,10 @@ def _accumulate_dense(rows: np.ndarray, vals: np.ndarray, m: int):
     else:
         dense = np.zeros(m, dtype=vals.dtype)
         np.add.at(dense, rows, vals)
-    return idx, dense[idx]
+    sums = dense[idx]
+    if sums.dtype.kind in "fc":
+        _restore_negative_zeros(sums, np.searchsorted(idx, rows), vals)
+    return idx, sums
 
 
 def spkadd_spa(

@@ -7,10 +7,12 @@ backend                   engine
                           truth for slot-op/probe/cache-trace statistics
 ``fast``                  the compiled per-column hash kernel
                           (:mod:`repro.kernels.native`, paper Algorithm 5)
-                          for the fused SpKAdd, NumPy sort + segmented
-                          reduce without a C compiler and for bare
-                          ``accumulate`` calls; bit-identical matrices, no
-                          stats, order-of-magnitude faster
+                          for the fused SpKAdd, which replays a cached
+                          plan when a call repeats an index pattern;
+                          NumPy sort + segmented reduce without a C
+                          compiler and for bare ``accumulate`` calls;
+                          bit-identical matrices, no stats,
+                          order-of-magnitude faster
 ========================  ====================================================
 
 See :mod:`repro.kernels.registry` for the resolution rules (explicit

@@ -1,19 +1,34 @@
 /*
- * Per-column hash SpKAdd (paper Algorithm 5) over k CSC addends.
+ * Per-column hash SpKAdd (paper Algorithm 5) over k CSC addends, and a
+ * replay pass that re-adds new values into a recorded pattern.
  *
- * For every output column j in [j0, j1):
+ * repro_spkadd_*: for every output column j in [j0, j1):
  *   1. the column's input entries are inserted, matrix by matrix and in
  *      storage order, into a linear-probing table whose size is a power
  *      of two above the column's input nnz.  A new row seeds its slot
  *      with its first addend; later duplicates add left to right, so
  *      the sums (including the sign of an all-(-0.0) sum) match the
- *      instrumented table bit for bit;
+ *      instrumented table bit for bit.  A row outside [0, m) stops the
+ *      call;
  *   2. the table slots of the distinct rows are sorted by row: an LSD
  *      radix sort on (row - min_row), 8 bits per pass, skipping passes
  *      whose digit is constant, or an insertion sort below SMALL_SORT
  *      entries;
  *   3. rows and sums are written in that order to the caller's output
  *      buffers, whose capacity is the summed input nnz of the range.
+ * With a non-NULL ``plan_slots`` the kernel also records, for every
+ * input entry in that visiting order (column, then matrix, then
+ * storage), the output position its value went to, stored as ``~pos``
+ * for the entry that seeded the position.
+ *
+ * repro_replay_*: given such a record and the output rows it produced,
+ * writes the sums of a new set of values over the same pattern.  It
+ * visits entries in the kernel's order, seeds each position with its
+ * first addend and adds the rest with the kernel's ADD, so its bytes
+ * are the kernel's.  Every entry is checked before it is used: its
+ * position must lie in its column's output range and the recorded row
+ * there must equal the entry's row, so a pattern that differs from the
+ * recorded one is rejected, never misplaced.
  *
  * Specialized for input index type (int32/int64) x output index type
  * (int32/int64) x value type (float32/float64/int64).  int64 sums wrap
@@ -21,8 +36,8 @@
  * add goes through uint64).  Build without -ffast-math so float sums
  * stay IEEE and bit-stable.
  *
- * Every entry point returns the output nnz, or -1 when its scratch
- * cannot be allocated.
+ * The kernel returns the output nnz, the replay 0; both return one of
+ * the negative codes below on failure.
  */
 
 #include <stdint.h>
@@ -34,6 +49,10 @@
 #define RADIX_SIZE (1 << RADIX_BITS)
 #define MAX_PASSES (64 / RADIX_BITS)
 #define FIB_MULT 0x9E3779B97F4A7C15ull
+
+#define ERR_NO_MEMORY (-1)
+#define ERR_ROW_RANGE (-2)
+#define ERR_MISMATCH (-3)
 
 /* A NaN partial sum is kept as is: when both operands are NaN, x86 and
  * NumPy's ``acc += v`` return the accumulator's payload, but the C
@@ -66,12 +85,15 @@ static int log2_of(int64_t pow2)
 
 #define DIGIT(key, b) (((key) >> ((b) * RADIX_BITS)) & (RADIX_SIZE - 1))
 
+/* The kernel body is inlined twice, with and without a slot record, so
+ * the plain kernel's insertion loop carries no recording branch. */
 #define DEFINE_KERNEL(SUFFIX, IT, OT, VT, ADD)                                 \
-int64_t repro_spkadd_##SUFFIX(                                                 \
-    int64_t k, int64_t j0, int64_t j1,                                         \
+static inline __attribute__((always_inline)) int64_t spkadd_##SUFFIX(          \
+    int64_t k, int64_t m, int64_t j0, int64_t j1,                              \
     const int64_t *const *indptr, const IT *const *indices,                   \
     const VT *const *data,                                                     \
-    OT *out_indptr, OT *out_indices, VT *out_data, int64_t *col_in)            \
+    OT *out_indptr, OT *out_indices, VT *out_data, int64_t *col_in,            \
+    OT *plan_slots)                                                            \
 {                                                                              \
     int64_t max_in = 0;                                                        \
     for (int64_t j = j0; j < j1; ++j) {                                        \
@@ -85,14 +107,23 @@ int64_t repro_spkadd_##SUFFIX(                                                 \
     out_indptr[0] = 0;                                                         \
     int64_t tcap = table_size_for(max_in);                                     \
     if (tcap > ((int64_t)1 << 32))                                             \
-        return -1; /* slot ids and radix counts are 32-bit */                  \
+        return ERR_NO_MEMORY; /* slot ids and radix counts are 32-bit */       \
     IT *trow = malloc((size_t)tcap * sizeof(IT));                              \
     VT *tval = malloc((size_t)tcap * sizeof(VT));                              \
     uint32_t *slots = malloc((size_t)(max_in + 1) * sizeof(uint32_t));         \
     uint32_t *spare = malloc((size_t)(max_in + 1) * sizeof(uint32_t));         \
+    /* recording only: each column entry's slot (~slot for a seed) and \
+     * each slot's rank in the sorted column */                                \
+    int64_t *ent = NULL;                                                       \
+    uint32_t *rank = NULL;                                                     \
+    if (plan_slots) {                                                          \
+        ent = malloc((size_t)(max_in + 1) * sizeof(int64_t));                  \
+        rank = malloc((size_t)tcap * sizeof(uint32_t));                        \
+    }                                                                          \
     uint32_t counts[MAX_PASSES][RADIX_SIZE];                                   \
-    int64_t nnz = -1;                                                          \
-    if (!trow || !tval || !slots || !spare)                                    \
+    int64_t nnz = ERR_NO_MEMORY;                                               \
+    if (!trow || !tval || !slots || !spare                                     \
+        || (plan_slots && (!ent || !rank)))                                    \
         goto done;                                                             \
     for (int64_t s = 0; s < tcap; ++s)                                         \
         trow[s] = -1;                                                          \
@@ -104,24 +135,33 @@ int64_t repro_spkadd_##SUFFIX(                                                 \
             int64_t tsize = table_size_for(cnt);                               \
             uint64_t mask = (uint64_t)tsize - 1;                               \
             int shift = 64 - log2_of(tsize);                                   \
+            int64_t e = 0;                                                     \
             for (int64_t i = 0; i < k; ++i) {                                  \
                 const IT *ri = indices[i];                                     \
                 const VT *vi = data[i];                                        \
                 int64_t p1 = indptr[i][j + 1];                                 \
-                for (int64_t p = indptr[i][j]; p < p1; ++p) {                  \
+                for (int64_t p = indptr[i][j]; p < p1; ++p, ++e) {             \
                     IT r = ri[p];                                              \
                     VT v = vi[p];                                              \
+                    if ((uint64_t)(int64_t)r >= (uint64_t)m) {                 \
+                        nnz = ERR_ROW_RANGE;                                   \
+                        goto done;                                             \
+                    }                                                          \
                     uint64_t h = ((uint64_t)r * FIB_MULT) >> shift;            \
                     for (;;) {                                                 \
                         IT t = trow[h];                                        \
                         if (t == r) {                                          \
                             tval[h] = ADD(tval[h], v);                         \
+                            if (plan_slots)                                    \
+                                ent[e] = (int64_t)h;                           \
                             break;                                             \
                         }                                                      \
                         if (t < 0) {                                           \
                             trow[h] = r;                                       \
                             tval[h] = v;                                       \
                             slots[d++] = (uint32_t)h;                          \
+                            if (plan_slots)                                    \
+                                ent[e] = ~(int64_t)h;                          \
                             break;                                             \
                         }                                                      \
                         h = (h + 1) & mask;                                    \
@@ -187,6 +227,15 @@ int64_t repro_spkadd_##SUFFIX(                                                 \
             vals_out[s] = tval[h];                                             \
             trow[h] = -1;                                                      \
         }                                                                      \
+        if (plan_slots) {                                                      \
+            for (int64_t s = 0; s < d; ++s)                                    \
+                rank[order[s]] = (uint32_t)s;                                  \
+            for (int64_t x = 0; x < cnt; ++x) {                                \
+                int64_t h = ent[x];                                            \
+                *plan_slots++ = h < 0 ? (OT)~(nnz + rank[~h])                  \
+                                      : (OT)(nnz + rank[h]);                   \
+            }                                                                  \
+        }                                                                      \
         nnz += d;                                                              \
         out_indptr[j - j0 + 1] = (OT)nnz;                                      \
     }                                                                          \
@@ -195,13 +244,64 @@ done:                                                                          \
     free(tval);                                                                \
     free(slots);                                                               \
     free(spare);                                                               \
+    free(ent);                                                                 \
+    free(rank);                                                                \
     return nnz;                                                                \
+}                                                                              \
+                                                                               \
+int64_t repro_spkadd_##SUFFIX(                                                 \
+    int64_t k, int64_t m, int64_t j0, int64_t j1,                              \
+    const int64_t *const *indptr, const IT *const *indices,                   \
+    const VT *const *data,                                                     \
+    OT *out_indptr, OT *out_indices, VT *out_data, int64_t *col_in,            \
+    OT *plan_slots)                                                            \
+{                                                                              \
+    if (plan_slots)                                                            \
+        return spkadd_##SUFFIX(k, m, j0, j1, indptr, indices, data,            \
+                               out_indptr, out_indices, out_data, col_in,     \
+                               plan_slots);                                    \
+    return spkadd_##SUFFIX(k, m, j0, j1, indptr, indices, data,                \
+                           out_indptr, out_indices, out_data, col_in, NULL);  \
 }
 
+#define DEFINE_REPLAY(SUFFIX, IT, OT, VT, ADD)                                 \
+int64_t repro_replay_##SUFFIX(                                                 \
+    int64_t k, int64_t n,                                                      \
+    const int64_t *const *indptr, const IT *const *indices,                   \
+    const VT *const *data,                                                     \
+    const OT *plan_indptr, const OT *plan_rows, const OT *plan_slots,          \
+    int64_t n_in, VT *out_data)                                                \
+{                                                                              \
+    const OT *slot = plan_slots, *slot_end = plan_slots + n_in;                \
+    for (int64_t j = 0; j < n; ++j) {                                          \
+        int64_t lo = plan_indptr[j], hi = plan_indptr[j + 1];                  \
+        for (int64_t i = 0; i < k; ++i) {                                      \
+            const IT *ri = indices[i];                                         \
+            const VT *vi = data[i];                                            \
+            int64_t p0 = indptr[i][j], p1 = indptr[i][j + 1];                  \
+            if (p1 - p0 > slot_end - slot)                                     \
+                return ERR_MISMATCH;                                           \
+            for (int64_t p = p0; p < p1; ++p) {                                \
+                int64_t s = *slot++;                                           \
+                int64_t pos = s < 0 ? ~s : s;                                  \
+                if (pos < lo || pos >= hi                                      \
+                    || (int64_t)plan_rows[pos] != (int64_t)ri[p])              \
+                    return ERR_MISMATCH;                                       \
+                out_data[pos] = s < 0 ? vi[p] : ADD(out_data[pos], vi[p]);     \
+            }                                                                  \
+        }                                                                      \
+    }                                                                          \
+    return slot == slot_end ? 0 : ERR_MISMATCH;                                \
+}
+
+#define DEFINE_BOTH(SUFFIX, IT, OT, VT, ADD)                                   \
+    DEFINE_KERNEL(SUFFIX, IT, OT, VT, ADD)                                     \
+    DEFINE_REPLAY(SUFFIX, IT, OT, VT, ADD)
+
 #define DEFINE_VALUES(IN, IT, OUT, OT)                                         \
-    DEFINE_KERNEL(IN##_##OUT##_f32, IT, OT, float, ADD_FLOAT)                  \
-    DEFINE_KERNEL(IN##_##OUT##_f64, IT, OT, double, ADD_FLOAT)                 \
-    DEFINE_KERNEL(IN##_##OUT##_i64, IT, OT, int64_t, ADD_WRAP)
+    DEFINE_BOTH(IN##_##OUT##_f32, IT, OT, float, ADD_FLOAT)                    \
+    DEFINE_BOTH(IN##_##OUT##_f64, IT, OT, double, ADD_FLOAT)                   \
+    DEFINE_BOTH(IN##_##OUT##_i64, IT, OT, int64_t, ADD_WRAP)
 
 DEFINE_VALUES(i32, int32_t, i32, int32_t)
 DEFINE_VALUES(i32, int32_t, i64, int64_t)

@@ -24,6 +24,18 @@ that platform property: there is no option and no environment knob.
   unsigned, half or non-native-endian values) leaves the caller on the
   NumPy loop.  The first fallback of a process warns once;
   :func:`fallback_reason` keeps the latest reason inspectable.
+* **Repeated patterns.**  :func:`spkadd_columns` keeps a small
+  per-process LRU of index patterns, keyed on shape, k and the three
+  dtypes and confirmed by comparing the addends' ``indptr`` with a
+  snapshot.  The first sighting of a pattern stores only that snapshot.
+  The second runs the kernel with its slot record on and keeps a plan:
+  copies of the output ``indptr`` and rows, and each input entry's
+  output position.  Later calls run the C replay, which only adds the
+  new values, and checks every entry's row against the plan; a mismatch
+  drops the plan and the call runs the kernel.  The cache holds at most
+  :data:`PLAN_CACHE_ENTRIES` patterns and :data:`PLAN_CACHE_BYTES`
+  bytes, and skips patterns with more ``indptr`` entries than stored
+  entries; the NumPy loop has none.
 """
 
 from __future__ import annotations
@@ -36,9 +48,11 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.util.checks import check_row_bounds
 
 #: the kernel source shipped inside the package (see setup.py
 #: package_data).
@@ -49,6 +63,17 @@ CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: bound on one compiler invocation (seconds).
 COMPILE_TIMEOUT_S = 120.0
+
+#: most bytes the pattern cache of one process holds (plans and the
+#: ``indptr`` snapshots of patterns seen once).
+PLAN_CACHE_BYTES = 32 << 20
+
+#: most patterns the cache holds; bounds the snapshot comparisons a
+#: call with an unseen pattern pays.
+PLAN_CACHE_ENTRIES = 8
+
+#: the kernel's return code for a row outside ``[0, m)`` (see native.c).
+_ERR_ROW_RANGE = -2
 
 _INDEX_CODES = {np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
 _VALUE_CODES = {
@@ -68,9 +93,48 @@ class _State:
         self.path: Optional[str] = None
         self.reason: Optional[str] = None
         self.warned = False
+        #: cached patterns, least recently used first.
+        self.patterns: List[_Pattern] = []
+        self.plan_hits = 0
+        self.plan_builds = 0
+        self.plan_rejects = 0
+
+
+class _Plan(NamedTuple):
+    """What a replay reads besides the new values."""
+
+    indptr: np.ndarray  # the output indptr
+    rows: np.ndarray  # the output rows
+    slots: np.ndarray  # each input entry's output position, ~pos for a seed
+    col_in: np.ndarray  # per-column input nnz
+
+
+class _Pattern:
+    """One cached index pattern: a snapshot of the addends' ``indptr``
+    arrays, and its plan once one is built.  Every array is a private
+    copy, and a published pattern is never mutated."""
+
+    __slots__ = ("key", "indptrs", "plan", "nbytes")
+
+    def __init__(
+        self, key: tuple, indptrs: np.ndarray, plan: Optional[_Plan] = None
+    ) -> None:
+        self.key = key
+        self.indptrs = indptrs
+        self.plan = plan
+        self.nbytes = indptrs.nbytes + sum(a.nbytes for a in plan or ())
 
 
 _STATE = _State()
+
+
+def _after_fork_in_child() -> None:
+    # Every fast call takes the lock (the pattern cache), so a worker
+    # forked while another parent thread held it would wait forever.
+    _STATE.lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def compiler() -> Optional[str]:
@@ -157,12 +221,16 @@ class _Unavailable(Exception):
 
 def _load(path: str) -> ctypes.CDLL:
     lib = ctypes.CDLL(path)
+    int64, ptr = ctypes.c_int64, ctypes.c_void_p
     for i in _INDEX_CODES.values():
         for o in _INDEX_CODES.values():
             for v in _VALUE_CODES.values():
-                fn = getattr(lib, f"repro_spkadd_{i}_{o}_{v}")
-                fn.restype = ctypes.c_int64
-                fn.argtypes = [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 7
+                kernel = getattr(lib, f"repro_spkadd_{i}_{o}_{v}")
+                kernel.restype = int64
+                kernel.argtypes = [int64] * 4 + [ptr] * 8
+                replay = getattr(lib, f"repro_replay_{i}_{o}_{v}")
+                replay.restype = int64
+                replay.argtypes = [int64] * 2 + [ptr] * 6 + [int64, ptr]
     return lib
 
 
@@ -267,7 +335,8 @@ def spkadd_columns(
 
     Values sum in ``value_dtype`` and indices are emitted in
     ``index_dtype`` (both resolved by the caller for the whole call).
-    The returned arrays hold exactly the output nnz.
+    The returned arrays hold exactly the output nnz and are the
+    caller's own, also when the call replays a cached plan.
     """
     lib = library()
     if lib is None:
@@ -288,7 +357,7 @@ def spkadd_columns(
     indptrs = [np.require(A.indptr, np.int64, "C") for A in mats]
     indices = [np.require(A.indices, in_dtype, "C") for A in mats]
     datas = [np.require(A.data, value_dtype, "C") for A in mats]
-    n = mats[0].shape[1]
+    m, n = mats[0].shape
     for p, ix, dv in zip(indptrs, indices, datas):
         # The kernel trusts these bounds; an unchecked matrix that
         # breaks them must fail here, not read or write out of bounds.
@@ -298,18 +367,49 @@ def spkadd_columns(
                 "malformed CSC addend: indptr must have n+1 nondecreasing "
                 "entries within the indices/data arrays"
             )
-    total = sum(int(p[n]) - int(p[0]) for p in indptrs)
+    counts = tuple(int(p[n]) - int(p[0]) for p in indptrs)
+    total = sum(counts)
+    suffix = f"{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}"
+    # The addends' nnz ride in the key: they cost nothing here and spare
+    # most snapshot comparisons of an unseen pattern.
+    key = (mats[0].shape, value_dtype, in_dtype, index_dtype, counts)
+    # Cached are only patterns with no more indptr entries than stored
+    # entries (a hypersparse or column-embedded collection pays more to
+    # snapshot and compare than a replay saves) whose plan fits.
+    cacheable = len(mats) * (n + 1) <= total and PLAN_CACHE_BYTES >= (
+        8 * (len(mats) + 2) * (n + 1) + 2 * total * index_dtype.itemsize)
+    seen = _lookup(key, indptrs) if cacheable else None
+    if seen is not None and seen.plan is not None:
+        plan = seen.plan
+        data = np.empty(plan.rows.size, dtype=value_dtype)
+        status = getattr(lib, f"repro_replay_{suffix}")(
+            len(mats), n, _pointers(indptrs), _pointers(indices),
+            _pointers(datas), plan.indptr.ctypes.data, plan.rows.ctypes.data,
+            plan.slots.ctypes.data, plan.slots.size, data.ctypes.data,
+        )
+        if status == 0:
+            _count("plan_hits")
+            return plan.indptr.copy(), plan.rows.copy(), data, plan.col_in.copy()
+        _count("plan_rejects")
+        # The rows changed under the same indptr: keep the snapshot as
+        # a first sighting of the new pattern, and drop the plan.
+        _publish(_Pattern(key, seen.indptrs), replacing=seen)
+        seen, cacheable = None, False
     out_indptr = np.empty(n + 1, dtype=index_dtype)
     out_indices = np.empty(total, dtype=index_dtype)
     out_data = np.empty(total, dtype=value_dtype)
     col_in = np.empty(n, dtype=np.int64)
-    fn = getattr(lib, f"repro_spkadd_{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}")
-    nnz = fn(
-        len(mats), 0, n,
+    slots = np.empty(total, dtype=index_dtype) if seen is not None else None
+    nnz = getattr(lib, f"repro_spkadd_{suffix}")(
+        len(mats), m, 0, n,
         _pointers(indptrs), _pointers(indices), _pointers(datas),
         out_indptr.ctypes.data, out_indices.ctypes.data,
         out_data.ctypes.data, col_in.ctypes.data,
+        None if slots is None else slots.ctypes.data,
     )
+    if nnz == _ERR_ROW_RANGE:
+        check_row_bounds(mats)  # raises, naming the addend and the row
+        raise ValueError(f"an addend has a row index outside [0, {m})")
     if nnz < 0:
         raise MemoryError("native SpKAdd kernel could not allocate its tables")
     if nnz < total:
@@ -317,7 +417,61 @@ def spkadd_columns(
         # nnz(B) entries stay allocated.
         out_indices.resize(nnz, refcheck=False)
         out_data.resize(nnz, refcheck=False)
+    if seen is not None and slots is not None:
+        built = _Plan(out_indptr.copy(), out_indices.copy(), slots, col_in.copy())
+        if _publish(_Pattern(key, seen.indptrs, built), replacing=seen):
+            _count("plan_builds")
+    elif cacheable:
+        _publish(_Pattern(key, np.stack(indptrs)))
     return out_indptr, out_indices, out_data, col_in
+
+
+def _lookup(key: tuple, indptrs: Sequence[np.ndarray]) -> Optional[_Pattern]:
+    """The cached pattern of ``key`` whose snapshot equals ``indptrs``,
+    marked most recently used; ``None`` when there is none."""
+    state = _STATE
+    with state.lock:
+        for pattern in reversed(state.patterns):
+            if pattern.key == key and all(
+                np.array_equal(snap, p)
+                for snap, p in zip(pattern.indptrs, indptrs)
+            ):
+                state.patterns = [
+                    p for p in state.patterns if p is not pattern
+                ] + [pattern]
+                return pattern
+    return None
+
+
+def _publish(pattern: _Pattern, replacing: Optional[_Pattern] = None) -> bool:
+    """Add ``pattern`` as the most recently used one, in place of
+    ``replacing``, then evict from the least recently used end down to
+    the cache's bounds.  False when ``replacing`` is already gone (a
+    concurrent call replaced it first)."""
+    state = _STATE
+    with state.lock:
+        patterns = [p for p in state.patterns if p is not replacing]
+        if replacing is not None and len(patterns) == len(state.patterns):
+            return False
+        patterns.append(pattern)
+        size = sum(p.nbytes for p in patterns)
+        while patterns and (size > PLAN_CACHE_BYTES
+                            or len(patterns) > PLAN_CACHE_ENTRIES):
+            size -= patterns.pop(0).nbytes
+        state.patterns = patterns
+    return True
+
+
+def _count(counter: str) -> None:
+    state = _STATE
+    with state.lock:
+        setattr(state, counter, getattr(state, counter) + 1)
+
+
+def _clear_plans() -> None:
+    """Forget every cached pattern, so the next calls run the kernel."""
+    with _STATE.lock:
+        _STATE.patterns = []
 
 
 def _pointers(arrays: Sequence[np.ndarray]) -> ctypes.Array:

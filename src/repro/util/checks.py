@@ -26,3 +26,21 @@ def check_same_shape(mats: Iterable) -> Tuple[int, int]:
     if len(shapes) != 1:
         raise ValueError(f"all SpKAdd inputs must share one shape, got {sorted(shapes)}")
     return next(iter(shapes))
+
+
+def check_row_bounds(mats: Sequence) -> None:
+    """Every stored row index of every CSC addend must lie in ``[0, m)``.
+
+    Matrices built with ``check=False`` skip this on construction; a
+    row outside the range would otherwise land in a neighbouring column
+    or collide with a hash table's empty-slot marker.  Raises a
+    ``ValueError`` naming the first offending addend and row.
+    """
+    for i, A in enumerate(mats):
+        m = A.shape[0]
+        rows = A.indices[int(A.indptr[0]):int(A.indptr[-1])]
+        if rows.size and (rows.min() < 0 or rows.max() >= m):
+            bad = rows[(rows < 0) | (rows >= m)][0]
+            raise ValueError(
+                f"addend {i} has row index {bad} outside [0, {m})"
+            )

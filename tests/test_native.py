@@ -332,7 +332,7 @@ class TestSignedZeroNumpyPath:
         )
         for A in mats:
             A.sort_indices()
-        for method in ("hash", "heap", "sliding_hash", "2way_tree"):
+        for method in ("hash", "heap", "sliding_hash", "2way_tree", "spa"):
             fast = spkadd(mats, method=method).matrix.data
             inst = spkadd(mats, method="hash",
                           backend="instrumented").matrix.data
@@ -352,6 +352,303 @@ class TestSignedZeroNumpyPath:
         mats = random_collection(19, 30, 4, 3)
         spkadd(mats)
         assert sum(calls) == sum(A.nnz for A in mats)
+
+
+class TestRowBounds:
+    """A stored row outside ``[0, m)`` is a typed error naming the
+    addend on every path, never a wrong answer."""
+
+    @staticmethod
+    def addends(rows_per_addend):
+        return [
+            CSCMatrix((4, 1), np.array([0, len(rows)]), np.array(rows),
+                      np.arange(1.0, len(rows) + 1), sorted=False, check=False)
+            for rows in rows_per_addend
+        ]
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[-1, 2], [9, 2]], r"addend 0 has row index -1 outside \[0, 4\)"),
+        ([[1, 2], [9, 2]], r"addend 1 has row index 9 outside \[0, 4\)"),
+    ])
+    def test_fast_and_instrumented_raise(self, native_mode, rows, message):
+        mats = self.addends(rows)
+        for backend in ("fast", "instrumented"):
+            with pytest.raises(ValueError, match=message):
+                spkadd(mats, backend=backend)
+
+    def test_row_mutated_out_of_range_after_a_plan(self, plans):
+        mats = self.addends([[0, 2], [3, 2]])
+        for _ in range(3):
+            spkadd(mats)
+        assert plans.plan_hits == 1
+        mats[1].indices[0] = 4
+        with pytest.raises(ValueError, match="addend 1 has row index 4"):
+            spkadd(mats)
+        assert plans.plan_rejects == 1
+
+
+# ---------------------------------------------------------------------------
+# The pattern cache: the second call with an index pattern builds a plan,
+# later calls replay it.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """A loader state with an empty pattern cache and zeroed counters
+    (the library itself is loaded again from its cache file)."""
+    if native.library() is None:
+        pytest.skip(f"no native kernel: {native.fallback_reason()}")
+    state = native._State()
+    monkeypatch.setattr(native, "_STATE", state)
+    return state
+
+
+def revalue(mats, rng, pool=None):
+    """The same index arrays (the same objects) with new values."""
+    out = []
+    for A in mats:
+        if pool is None:
+            data = rng.random(A.data.size).astype(A.data.dtype)
+        else:
+            data = np.asarray(pool, dtype=A.data.dtype)[
+                rng.integers(0, len(pool), A.data.size)]
+        out.append(CSCMatrix(A.shape, A.indptr, A.indices, data,
+                             sorted=A.sorted, check=False))
+    return out
+
+
+def kernel_only(monkeypatch, mats, **kwargs):
+    """The fast backend with an empty cache (the plain kernel), and the
+    NumPy loop, on ``mats``."""
+    with monkeypatch.context() as mp:
+        mp.setattr(native, "_STATE", native._State())
+        kernel = spkadd(mats, backend="fast", **kwargs)
+        mp.setattr(native, "library", lambda: None)
+        numpy_loop = spkadd(mats, backend="fast", **kwargs)
+    return kernel, numpy_loop
+
+
+def assert_replays(monkeypatch, plans, mats, calls=4, pool=None, **kwargs):
+    """``calls`` calls over the pattern of ``mats`` with new values each:
+    every one matches the plain kernel and the NumPy loop byte for byte
+    (dtypes and stats included), and every call from the third on is a
+    plan hit."""
+    rng = np.random.default_rng(31)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(calls):
+            step = revalue(mats, rng, pool)
+            got = spkadd(step, backend="fast", **kwargs)
+            kernel, numpy_loop = kernel_only(monkeypatch, step, **kwargs)
+            assert_same_result(got, kernel, f"call {i}: replay vs kernel")
+            assert_same_result(got, numpy_loop, f"call {i}: replay vs numpy")
+    assert (plans.plan_builds, plans.plan_hits, plans.plan_rejects) == (
+        1, calls - 2, 0)
+    return got
+
+
+class TestPlanCache:
+    @pytest.mark.parametrize("dtype, pool", [
+        (np.float64, FLOAT_POOL), (np.float32, FLOAT_POOL),
+        (np.int64, INT_POOL),
+    ])
+    def test_replay_is_byte_identical(self, monkeypatch, plans, dtype, pool):
+        mats = [A.astype(dtype) for A in random_collection(40, 30, 12, 6)]
+        assert_replays(monkeypatch, plans, mats, pool=pool)
+
+    @pytest.mark.parametrize("in_dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("index_dtype", [None, "int32", "int64"])
+    def test_index_widths(self, monkeypatch, plans, in_dtype, index_dtype):
+        mats = [A.with_index_dtype(in_dtype)
+                for A in random_collection(41, 90, 10, 5)]
+        got = assert_replays(monkeypatch, plans, mats,
+                             index_dtype=index_dtype)
+        if index_dtype is not None:
+            assert got.matrix.indices.dtype == np.dtype(index_dtype)
+
+    def test_unsorted_inputs(self, monkeypatch, plans):
+        rng = np.random.default_rng(42)
+        mats = [shuffle_columns(rng, A)
+                for A in random_collection(42, 60, 9, 5)]
+        assert_replays(monkeypatch, plans, mats)
+
+    def test_column_view_chunks(self, monkeypatch, plans):
+        mats = random_collection(43, 80, 20, 5)
+        for j0, j1 in ((0, 7), (8, 20)):
+            plans.plan_builds = plans.plan_hits = 0
+            assert_replays(monkeypatch, plans,
+                           [A.col_view(j0, j1) for A in mats])
+
+    def test_indptr_not_starting_at_zero(self, monkeypatch, plans):
+        # Entries before indptr[0] are not part of the matrix; their
+        # rows are deliberately invalid.
+        padded = []
+        for pad, A in enumerate(random_collection(44, 50, 8, 4), start=3):
+            padded.append(CSCMatrix(
+                A.shape, A.indptr + pad,
+                np.concatenate([np.full(pad, -7, A.indices.dtype), A.indices]),
+                np.concatenate([np.zeros(pad), A.data]),
+                sorted=A.sorted, check=False,
+            ))
+        assert_replays(monkeypatch, plans, padded)
+
+    def test_indices_mutated_in_place(self, monkeypatch, plans):
+        rng = np.random.default_rng(45)
+        mats = [shuffle_columns(rng, A)
+                for A in random_collection(45, 40, 6, 4)]
+        for _ in range(3):
+            spkadd(revalue(mats, rng))
+        assert plans.plan_hits == 1
+        # Same arrays, same indptr, one row moved within its column.
+        A = mats[2]
+        col = int(np.flatnonzero(np.diff(A.indptr))[0])
+        lo, hi = int(A.indptr[col]), int(A.indptr[col + 1])
+        free = np.setdiff1d(np.arange(40), A.indices[lo:hi])
+        A.indices[lo] = free[0]
+        step = revalue(mats, rng)
+        got = spkadd(step)
+        kernel, numpy_loop = kernel_only(monkeypatch, step)
+        assert_same_result(got, kernel, "after mutation")
+        assert_same_result(got, numpy_loop, "after mutation")
+        assert (plans.plan_hits, plans.plan_rejects) == (1, 1)
+        assert all(p.plan is None for p in plans.patterns)
+        # The mutated pattern counts as seen once: the next call builds
+        # its plan and the one after replays it.
+        spkadd(revalue(mats, rng))
+        spkadd(revalue(mats, rng))
+        assert (plans.plan_builds, plans.plan_hits) == (2, 2)
+
+    def test_indptr_mutated_in_place(self, monkeypatch, plans):
+        rng = np.random.default_rng(46)
+        mats = random_collection(46, 40, 6, 4)
+        for A in mats:
+            A.sort_indices()
+        for _ in range(3):
+            spkadd(revalue(mats, rng))
+        assert plans.plan_hits == 1
+        # Move the last entry of a nonempty column into the next one.
+        A = mats[1]
+        col = int(np.flatnonzero(np.diff(A.indptr[:-1]))[0])
+        A.indptr[col + 1] -= 1
+        A.sort_indices()
+        step = revalue(mats, rng)
+        got = spkadd(step)
+        kernel, numpy_loop = kernel_only(monkeypatch, step)
+        assert_same_result(got, kernel, "after mutation")
+        assert_same_result(got, numpy_loop, "after mutation")
+        assert plans.plan_hits == 1
+        fresh = native._lookup(plans.patterns[-1].key,
+                               [np.require(B.indptr, np.int64) for B in mats])
+        assert fresh is not None and fresh.plan is None
+
+    def test_value_dtype_gets_its_own_plan(self, plans):
+        mats = random_collection(47, 30, 5, 3)
+        as32 = [A.astype(np.float32) for A in mats]
+        for coll in (mats, mats, as32, mats, as32, as32):
+            spkadd(coll)
+        assert (plans.plan_builds, plans.plan_hits) == (2, 2)
+        dtypes = sorted(str(p.key[1]) for p in plans.patterns)
+        assert dtypes == ["float32", "float64"]
+        assert all(p.plan is not None for p in plans.patterns)
+
+    def test_byte_bound_evicts(self, monkeypatch, plans):
+        # Tall and sparse, so rows rarely repeat and two plans of about
+        # the same size do not fit in one and a half.
+        first = random_collection(48, 10**6, 10, 4)
+        second = random_collection(49, 10**6, 10, 4)
+        for _ in range(2):
+            spkadd(first)
+        (plan,) = plans.patterns
+        monkeypatch.setattr(native, "PLAN_CACHE_BYTES", 3 * plan.nbytes // 2)
+        for _ in range(2):
+            spkadd(second)
+        assert plans.plan_builds == 2
+        assert len(plans.patterns) == 1
+        assert plans.patterns[0] is not plan
+        spkadd(first)
+        assert plans.plan_hits == 0
+
+    def test_entry_bound_evicts(self, plans):
+        colls = [random_collection(50 + i, 20, 4, 2)
+                 for i in range(native.PLAN_CACHE_ENTRIES + 1)]
+        for coll in colls:
+            spkadd(coll)
+        assert len(plans.patterns) == native.PLAN_CACHE_ENTRIES
+        spkadd(colls[0])  # evicted: a first sighting again
+        assert plans.plan_builds == 0
+
+    def test_hypersparse_pattern_is_not_cached(self, plans):
+        # More indptr entries than stored entries: snapshots would cost
+        # more than replays save.
+        mats = [A.embed_columns(400, 20 * i)
+                for i, A in enumerate(random_collection(51, 30, 20, 4))]
+        assert len(mats) * 401 > sum(A.nnz for A in mats)
+        for _ in range(3):
+            spkadd(mats)
+        assert plans.patterns == [] and plans.plan_builds == 0
+
+    def test_threads_replay_concurrently(self, monkeypatch, plans):
+        # More threads than cores and a short switch interval, over two
+        # cached plans: a lost counter update or a torn cache update
+        # breaks the hit count or an answer.
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(60)
+        colls = [random_collection(60 + i, 400, 30, 8) for i in range(2)]
+        for mats in colls:
+            for _ in range(2):
+                spkadd(revalue(mats, rng))
+        steps = [revalue(colls[i % 2], rng) for i in range(32)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda s: spkadd(s).matrix, steps,
+                                    timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert (plans.plan_hits, plans.plan_builds) == (32, 2)
+        for step, res in zip(steps, got):
+            _, numpy_loop = kernel_only(monkeypatch, step)
+            assert res.data.tobytes() == numpy_loop.matrix.data.tobytes()
+            assert res.indices.tobytes() == numpy_loop.matrix.indices.tobytes()
+
+    @pytest.mark.parametrize("executor", ["thread", "shm"])
+    def test_repeated_parallel_calls(self, monkeypatch, plans, executor):
+        mats = random_collection(61, 200, 24, 6)
+        rng = np.random.default_rng(61)
+        for _ in range(4):
+            step = revalue(mats, rng)
+            got = spkadd(step, threads=2, executor=executor).matrix
+            _, numpy_loop = kernel_only(monkeypatch, step)
+            for name in ("indptr", "indices", "data"):
+                assert (getattr(got, name).tobytes()
+                        == getattr(numpy_loop.matrix, name).tobytes())
+        if executor == "thread":
+            assert plans.plan_hits > 0
+
+    def test_results_are_private(self, plans):
+        mats = random_collection(62, 30, 5, 3)
+        first = [spkadd(mats).matrix for _ in range(3)]
+        again = spkadd(mats).matrix
+        for res in first:
+            res.indptr[:] = 0
+            res.indices[:] = 0
+            res.data[:] = 0
+        assert spkadd(mats).matrix.data.tobytes() == again.data.tobytes()
+        assert np.array_equal(spkadd(mats).matrix.indices, again.indices)
+
+
+def test_numpy_loop_builds_no_plan(native_mode, monkeypatch):
+    monkeypatch.setattr(native, "_STATE", native._State())
+    mats = random_collection(63, 30, 5, 3)
+    for _ in range(3):
+        spkadd(mats)
+    state = native._STATE
+    if native_mode == "numpy":
+        assert state.patterns == [] and state.plan_builds == 0
+    else:
+        assert (state.plan_builds, state.plan_hits) == (1, 1)
 
 
 # ---------------------------------------------------------------------------
