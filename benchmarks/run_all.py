@@ -17,8 +17,10 @@ Modes
     the compiled kernel, with it forced off (the NumPy loop) and a raw
     scipy pairwise fold, paired, on that workload and on a ~1M-nnz
     k=16 shape, and reports medians with quartiles; on the k=16 shape a
-    paired ``replay`` leg times the same call from a cached plan.
-    Finishes in about a minute — suitable for CI.
+    paired ``replay`` leg times the same call from a cached plan.  The
+    SpGEMM native series times rank (0, 0)'s local multiplies of the
+    RMAT 2^14 SUMMA with the compiled kernel against the NumPy
+    expansion, paired.  Finishes in about a minute — suitable for CI.
 default (no flag)
     Adds the RMAT pattern, a larger k, and thread sweeps.
 
@@ -238,6 +240,97 @@ def bench_native_series(shapes, *, repeats, records, replay_shapes=()):
     return out
 
 
+#: the SUMMA shape of the SpGEMM series: RMAT 2^14, d=4, a 2x2 grid
+#: and 16 stages.
+SPGEMM_SCALE, SPGEMM_D, SPGEMM_STAGES = 14, 4.0, 16
+
+
+def bench_spgemm_native(*, repeats, records):
+    """Rank (0, 0)'s 16 local multiplies of the RMAT 2^14 SUMMA, serial,
+    on the fast backend: the compiled Gustavson kernel (sorted and
+    unsorted output), the same calls with the loader forced off (the
+    NumPy expansion, always sorted) and scipy ``@``.  Legs alternate
+    within each repeat (paired); the sorted kernel output must equal
+    the NumPy bytes.  Returns ``{leg: median_s}`` (empty when the kernel
+    cannot be built here)."""
+    import scipy.sparse as sp
+
+    from repro.distributed.grid import BlockDistribution
+    from repro.distributed.spgemm_local import local_spgemm
+    from repro.generators import rmat
+    from repro.kernels import native
+
+    if native.library() is None:
+        print(f"spgemm native series skipped: {native.fallback_reason()}")
+        return {}
+    n = 1 << SPGEMM_SCALE
+    A = rmat(n, n, d=SPGEMM_D, seed=21)
+    dA = BlockDistribution.distribute(A, 2, SPGEMM_STAGES)
+    dB = BlockDistribution.distribute(A, SPGEMM_STAGES, 2)
+    pairs = [(dA.block(0, s), dB.block(s, 0)) for s in range(SPGEMM_STAGES)]
+    saved = native.library
+
+    def multiply(sorted_output, with_kernel=True):
+        if not with_kernel:
+            native.library = lambda: None
+        try:
+            return [local_spgemm(a, b, backend="fast",
+                                 sorted_output=sorted_output)
+                    for a, b in pairs]
+        finally:
+            native.library = saved
+
+    scipy_pairs = [
+        (sp.csc_matrix((a.data, a.indices, a.indptr), shape=a.shape),
+         sp.csc_matrix((b.data, b.indices, b.indptr), shape=b.shape))
+        for a, b in pairs
+    ]
+    legs = {
+        "native": lambda: multiply(True),
+        "numpy": lambda: multiply(True, with_kernel=False),
+        "native_unsorted": lambda: multiply(False),
+        "scipy_matmul": lambda: [a @ b for a, b in scipy_pairs],
+    }
+    got, want = legs["native"](), legs["numpy"]()
+    for x, y in zip(got, want):
+        if any(getattr(x, f).tobytes() != getattr(y, f).tobytes()
+               for f in ("indptr", "indices", "data")):
+            raise AssertionError("native SpGEMM != NumPy SpGEMM")
+    walls = {leg: [] for leg in legs}
+    for _ in range(repeats):
+        for leg, fn in legs.items():
+            t0 = time.perf_counter()
+            fn()
+            walls[leg].append(time.perf_counter() - t0)
+    print(f"spgemm native series: rank (0,0)'s {SPGEMM_STAGES} local "
+          f"multiplies, rmat m=2^{SPGEMM_SCALE} d={SPGEMM_D}, serial, "
+          f"{repeats} paired repeats")
+    out = {}
+    for leg, w in walls.items():
+        spread = _spread(w)
+        out[leg] = spread["median_s"]
+        records.append({
+            "workload": f"spgemm_rank0_multiplies_{leg}",
+            "method": "local_spgemm" if leg != "scipy_matmul" else "scipy",
+            "backend": {"native": "fast", "numpy": "fast(numpy)",
+                        "native_unsorted": "fast(unsorted)",
+                        "scipy_matmul": "-"}[leg],
+            "executor": "-",
+            "threads": 1,
+            "wall_s": spread["median_s"],
+            "spread": spread,
+            "repeats": repeats,
+            "input_nnz": sum(a.nnz + b.nnz for a, b in pairs),
+            "output_nnz": sum(C.nnz for C in got),
+            "ops": 0.0,
+            "probes": 0.0,
+        })
+        print(f"  {leg:16s} median {spread['median_s'] * 1e3:8.1f} ms  "
+              f"(q1 {spread['q1_s'] * 1e3:.1f}, q3 "
+              f"{spread['q3_s'] * 1e3:.1f})")
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -269,6 +362,10 @@ def main(argv=None) -> int:
         },
         repeats=max(args.repeats, 9), records=records,
         replay_shapes=("er_k16_d16_repeat_shape",),
+    )
+
+    spgemm_native = bench_spgemm_native(
+        repeats=max(args.repeats, 9), records=records
     )
 
     # Executor series: the same hash/fast workload on both worker-pool
@@ -562,7 +659,7 @@ def main(argv=None) -> int:
     from repro.distributed import ExecutionPlan, ProcessGrid, summa_spgemm
     from repro.generators import rmat
 
-    spg_m, spg_d, spg_stages = 1 << 14, 4.0, 16
+    spg_m, spg_d, spg_stages = 1 << SPGEMM_SCALE, SPGEMM_D, SPGEMM_STAGES
     spg_A = rmat(spg_m, spg_m, d=spg_d, seed=21)
     spg_grid = ProcessGrid(2, 2)
     spg_legs = {
@@ -746,8 +843,15 @@ def main(argv=None) -> int:
     print(f"hash plan replay-vs-kernel speedup (serial, k=16, m=2^16, "
           f"d=16): {replay_speedup}x")
 
+    spgemm_native_speedup = (
+        round(spgemm_native["numpy"] / spgemm_native["native"], 2)
+        if spgemm_native else None
+    )
+    print(f"spgemm native-vs-numpy speedup (rank (0,0)'s local multiplies, "
+          f"rmat m=2^{SPGEMM_SCALE}, sorted): {spgemm_native_speedup}x")
+
     payload = {
-        "schema": 11,
+        "schema": 12,
         "preset": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -765,6 +869,7 @@ def main(argv=None) -> int:
             "spgemm_fast_shm_vs_serial_speedup": spgemm_speedup,
             "hash_native_vs_numpy_speedup": native_speedup,
             "hash_plan_replay_vs_kernel_speedup": replay_speedup,
+            "spgemm_native_vs_numpy_speedup": spgemm_native_speedup,
         },
         "results": records,
     }

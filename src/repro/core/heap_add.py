@@ -39,7 +39,11 @@ from repro.core.hashtable import resolve_value_dtype
 from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
 from repro.formats.csc import CSCMatrix
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 
 #: bytes of one heap node: (row, matrix_id, value) = 4 + 4 + 8.
 HEAP_NODE_BYTES = 16
@@ -64,6 +68,7 @@ def spkadd_heap(
     """
     check_nonempty(mats)
     shape = check_same_shape(mats)
+    check_row_bounds(mats)
     for A in mats:
         if not A.sorted:
             raise ValueError("HeapSpKAdd requires sorted input columns")

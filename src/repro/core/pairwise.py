@@ -25,7 +25,11 @@ from repro.core.merge2 import merge_sorted_keyed
 from repro.core.stats import KernelStats
 from repro.formats.compressed import build_indptr, resolve_index_dtype
 from repro.formats.csc import CSCMatrix
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 
 #: bytes per (row-index, value) entry moved to/from memory — the paper
 #: stores 32-bit indices and single-precision values (8 bytes/entry).
@@ -99,6 +103,7 @@ def _prepare(
 
     check_nonempty(mats)
     check_same_shape(mats)
+    check_row_bounds(mats)
     # Cast to the resolved accumulator dtype up front (a no-op for the
     # common all-float64 case): the merges would widen pair by pair
     # anyway, and the add-free k=1 path must emit the same dtype every

@@ -22,7 +22,11 @@ from repro.core.stats import KernelStats
 from repro.core.pairwise import ENTRY_BYTES
 from repro.formats.csc import CSCMatrix
 from repro.formats.convert import from_scipy, to_scipy
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 
 
 def _to_scipy_list(mats: Sequence[CSCMatrix]) -> List[sp.csc_matrix]:
@@ -39,6 +43,7 @@ def _to_scipy_list(mats: Sequence[CSCMatrix]) -> List[sp.csc_matrix]:
 
     check_nonempty(mats)
     check_same_shape(mats)
+    check_row_bounds(mats)
     vdt = resolve_value_dtype(mats)
     return [to_scipy(m).tocsc().astype(vdt, copy=False) for m in mats]
 

@@ -38,7 +38,11 @@ from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
 from repro.formats.csc import CSCMatrix
 from repro.parallel.partition import row_partition_bounds
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 from repro.util.hashing import next_pow2, table_size_for
 
 
@@ -262,6 +266,7 @@ def spkadd_sliding_hash(
     emitted index width (default: the paper's int32-when-it-fits rule).
     """
     check_nonempty(mats)
+    check_row_bounds(mats)
     if col_out_nnz is None:
         col_out_nnz = sliding_hash_symbolic(
             mats,

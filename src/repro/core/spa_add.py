@@ -40,7 +40,11 @@ from repro.formats.compressed import resolve_index_dtype
 from repro.formats.csc import CSCMatrix
 from repro.kernels.fast import _restore_negative_zeros
 from repro.parallel.partition import row_partition_bounds
-from repro.util.checks import check_nonempty, check_same_shape
+from repro.util.checks import (
+    check_nonempty,
+    check_row_bounds,
+    check_same_shape,
+)
 
 #: bytes per SPA slot: 8-byte value + 4-byte "valid" flag/stamp.
 SPA_SLOT_BYTES = 12
@@ -88,6 +92,7 @@ def spkadd_spa(
     """
     check_nonempty(mats)
     shape = check_same_shape(mats)
+    check_row_bounds(mats)
     m, n = shape
     st = stats if stats is not None else KernelStats()
     st.algorithm = st.algorithm or "spa"

@@ -443,8 +443,9 @@ def _run_pipelined(
     """The promoted engine: concurrent rank pipelines with overlap.
 
     ``rank_parallelism`` multiply chains run concurrently on a local
-    thread pool (the Gustavson kernel is NumPy-bound and releases the
-    GIL).  With ``overlap``, each rank's merge is submitted through
+    thread pool (the compiled Gustavson kernel runs through ctypes,
+    which releases the GIL, as do the NumPy fallback's big array
+    operations).  With ``overlap``, each rank's merge is submitted through
     :func:`~repro.parallel.executor.submit_spkadd` the moment its last
     stage product lands, so the multiplies of the following ranks
     overlap the merges executing on the worker pools.  The shm merge

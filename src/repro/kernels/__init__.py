@@ -8,7 +8,9 @@ backend                   engine
 ``fast``                  the compiled per-column hash kernel
                           (:mod:`repro.kernels.native`, paper Algorithm 5)
                           for the fused SpKAdd, which replays a cached
-                          plan when a call repeats an index pattern;
+                          plan when a call repeats an index pattern, and
+                          a column-wise Gustavson kernel on the same
+                          table for the local SpGEMM;
                           NumPy sort + segmented reduce without a C
                           compiler and for bare ``accumulate`` calls;
                           bit-identical matrices, no stats,

@@ -1,9 +1,11 @@
-"""Loader for the compiled per-column hash SpKAdd kernel (``native.c``).
+"""Loader for the compiled per-column hash kernels (``native.c``).
 
-The ``fast`` backend's fused SpKAdd runs through the C kernel shipped
-next to this module whenever the system C compiler can build it, and
-through the NumPy block loop otherwise.  Nothing selects the path but
-that platform property: there is no option and no environment knob.
+The ``fast`` backend's fused SpKAdd (:func:`spkadd_columns`) and its
+local SpGEMM (:func:`spgemm_columns`, a column-wise Gustavson multiply
+on the same hash table) run through the C library shipped next to this
+module whenever the system C compiler can build it, and through their
+NumPy loops otherwise.  Nothing selects the path but that platform
+property: there is no option and no environment knob.
 
 * **Build.**  On first use the source is compiled with ``cc -O2 -fPIC
   -shared`` (no ``-ffast-math``/``-march=native``: float sums stay IEEE
@@ -21,9 +23,11 @@ that platform property: there is no option and no environment knob.
   path with the call; workers only ``dlopen`` it (:func:`adopt`).
 * **Fallback.**  No compiler, a failed build, an unusable cache, a
   library that will not load, or a dtype the kernel lacks (complex,
-  unsigned, half or non-native-endian values) leaves the caller on the
-  NumPy loop.  The first fallback of a process warns once;
-  :func:`fallback_reason` keeps the latest reason inspectable.
+  unsigned, half or non-native-endian values; for SpGEMM, also
+  products whose dtype is not the one the call sums in, such as int32
+  products summed in int64) leaves the caller on the NumPy loop.  The
+  first fallback of a process warns once; :func:`fallback_reason`
+  keeps the latest reason inspectable.
 * **Repeated patterns.**  :func:`spkadd_columns` keeps a small
   per-process LRU of index patterns, keyed on shape, k and the three
   dtypes and confirmed by comparing the addends' ``indptr`` with a
@@ -48,11 +52,16 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
-from repro.util.checks import check_row_bounds
+from repro.util.checks import check_product_rows, check_row_bounds
+
+if TYPE_CHECKING:
+    from repro.formats.csc import CSCMatrix
 
 #: the kernel source shipped inside the package (see setup.py
 #: package_data).
@@ -72,8 +81,11 @@ PLAN_CACHE_BYTES = 32 << 20
 #: call with an unseen pattern pays.
 PLAN_CACHE_ENTRIES = 8
 
-#: the kernel's return code for a row outside ``[0, m)`` (see native.c).
+#: the kernels' return codes for a failed allocation, a row outside
+#: ``[0, m)`` and a SpGEMM B row outside ``[0, ka)`` (see native.c).
+_ERR_NO_MEMORY = -1
 _ERR_ROW_RANGE = -2
+_ERR_INNER_RANGE = -4
 
 _INDEX_CODES = {np.dtype(np.int32): "i32", np.dtype(np.int64): "i64"}
 _VALUE_CODES = {
@@ -231,6 +243,9 @@ def _load(path: str) -> ctypes.CDLL:
                 replay = getattr(lib, f"repro_replay_{i}_{o}_{v}")
                 replay.restype = int64
                 replay.argtypes = [int64] * 2 + [ptr] * 6 + [int64, ptr]
+                spgemm = getattr(lib, f"repro_spgemm_{i}_{o}_{v}")
+                spgemm.restype = int64
+                spgemm.argtypes = [int64] * 5 + [ptr] * 6 + [int64] + [ptr] * 3
     return lib
 
 
@@ -359,14 +374,7 @@ def spkadd_columns(
     datas = [np.require(A.data, value_dtype, "C") for A in mats]
     m, n = mats[0].shape
     for p, ix, dv in zip(indptrs, indices, datas):
-        # The kernel trusts these bounds; an unchecked matrix that
-        # breaks them must fail here, not read or write out of bounds.
-        if (p.size != n + 1 or p[0] < 0 or p[n] > min(ix.size, dv.size)
-                or (p[1:] < p[:-1]).any()):
-            raise ValueError(
-                "malformed CSC addend: indptr must have n+1 nondecreasing "
-                "entries within the indices/data arrays"
-            )
+        _check_indptr(p, n, ix, dv, "addend")
     counts = tuple(int(p[n]) - int(p[0]) for p in indptrs)
     total = sum(counts)
     suffix = f"{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}"
@@ -424,6 +432,79 @@ def spkadd_columns(
     elif cacheable:
         _publish(_Pattern(key, np.stack(indptrs)))
     return out_indptr, out_indices, out_data, col_in
+
+
+def spgemm_columns(
+    A: "CSCMatrix", B: "CSCMatrix", value_dtype: np.dtype,
+    index_dtype: np.dtype, sorted_output: bool, flops: int,
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``A @ B`` through the C Gustavson kernel: ``(indptr, indices,
+    data)``, or ``None`` when the caller must use its NumPy expansion.
+
+    Products are formed in ``np.result_type`` of the operands' value
+    dtypes, which must equal ``value_dtype`` (the dtype the caller
+    sums in).  Indices are emitted in ``index_dtype``.  Columns are
+    sorted when ``sorted_output`` is set and in first-insertion order
+    otherwise.  ``flops`` is the product's expansion size, the capacity
+    of the output buffers.
+    """
+    lib = library()
+    if lib is None:
+        return None
+    value_dtype, index_dtype = np.dtype(value_dtype), np.dtype(index_dtype)
+    product = np.result_type(A.data.dtype, B.data.dtype)
+    v_code = _VALUE_CODES.get(value_dtype) if value_dtype.isnative else None
+    o_code = _INDEX_CODES.get(index_dtype) if index_dtype.isnative else None
+    if v_code is None or o_code is None or product != value_dtype:
+        _note_fallback(
+            f"the SpGEMM kernel has no {product} products summed in "
+            f"{value_dtype} with {index_dtype} indices"
+        )
+        return None
+    in_dtype = np.dtype(np.int32)
+    if not all(np.can_cast(X.indices.dtype, in_dtype) for X in (A, B)):
+        in_dtype = np.dtype(np.int64)
+    (ma, ka), nb = A.shape, B.shape[1]
+    operands = []
+    for name, X, n in (("A", A, ka), ("B", B, nb)):
+        p = np.require(X.indptr, np.int64, "C")
+        ix = np.require(X.indices, in_dtype, "C")
+        dv = np.require(X.data, value_dtype, "C")
+        _check_indptr(p, n, ix, dv, f"operand {name}")
+        operands += [p, ix, dv]
+    out_indptr = np.empty(nb + 1, dtype=index_dtype)
+    out_indices = np.empty(flops, dtype=index_dtype)
+    out_data = np.empty(flops, dtype=value_dtype)
+    suffix = f"{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}"
+    nnz = getattr(lib, f"repro_spgemm_{suffix}")(
+        ma, ka, 0, nb, int(bool(sorted_output)),
+        *(x.ctypes.data for x in operands), flops,
+        out_indptr.ctypes.data, out_indices.ctypes.data, out_data.ctypes.data,
+    )
+    if nnz in (_ERR_ROW_RANGE, _ERR_INNER_RANGE):
+        check_product_rows(A, B)  # raises, naming the operand and the row
+        raise ValueError("an operand has a row index out of range")
+    if nnz == _ERR_NO_MEMORY:
+        raise MemoryError("native SpGEMM kernel could not allocate its table")
+    if nnz < 0:
+        raise ValueError(f"the operands hold more than {flops} products")
+    if nnz < flops:
+        out_indices.resize(nnz, refcheck=False)
+        out_data.resize(nnz, refcheck=False)
+    return out_indptr, out_indices, out_data
+
+
+def _check_indptr(
+    p: np.ndarray, n: int, ix: np.ndarray, dv: np.ndarray, what: str
+) -> None:
+    """The kernels trust these bounds; an unchecked matrix that breaks
+    them must fail here, not read or write out of bounds."""
+    if (p.size != n + 1 or p[0] < 0 or p[n] > min(ix.size, dv.size)
+            or (p[1:] < p[:-1]).any()):
+        raise ValueError(
+            f"malformed CSC {what}: indptr must have n+1 nondecreasing "
+            "entries within the indices/data arrays"
+        )
 
 
 def _lookup(key: tuple, indptrs: Sequence[np.ndarray]) -> Optional[_Pattern]:

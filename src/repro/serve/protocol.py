@@ -135,7 +135,7 @@ def _encode_header(header: Dict) -> Tuple[bytes, bytes]:
     return b"J", json.dumps(header, separators=(",", ":")).encode("utf-8")
 
 
-def _decode_header(tag: bytes, raw: bytes) -> Dict:
+def _loads(tag: bytes, raw: bytes) -> object:
     if tag == b"M":
         if msgpack is None:
             raise GatewayError(
@@ -149,6 +149,22 @@ def _decode_header(tag: bytes, raw: bytes) -> Dict:
     raise GatewayError(f"unknown frame format tag {tag!r}")
 
 
+def _decode_header(tag: bytes, raw: bytes) -> Dict:
+    """The header map of a frame; a ``GatewayError`` for an unknown tag,
+    bytes that do not decode, or a header that is not a map."""
+    try:
+        header = _loads(tag, raw)
+    except GatewayError:
+        raise
+    except Exception as err:  # msgpack documents no closed error family
+        raise GatewayError(f"undecodable frame header: {err}") from None
+    if not isinstance(header, dict):
+        raise GatewayError(
+            f"frame header is a {type(header).__name__}, not a map"
+        )
+    return header
+
+
 def encode_frame(header: Dict, payload: bytes = b"") -> bytes:
     """Serialize one frame (header dict + raw payload bytes)."""
     tag, raw = _encode_header(header)
@@ -157,6 +173,10 @@ def encode_frame(header: Dict, payload: bytes = b"") -> bytes:
 
 def decode_prefix(prefix: bytes) -> Tuple[bytes, int, int]:
     """Split the 9-byte frame prefix; validates the claimed lengths."""
+    if len(prefix) != _PREFIX.size:
+        raise GatewayError(
+            f"truncated frame prefix: {len(prefix)} of {_PREFIX.size} bytes"
+        )
     tag, header_len, payload_len = _PREFIX.unpack(prefix)
     if header_len + payload_len > MAX_FRAME_BYTES:
         raise GatewayError(
@@ -232,9 +252,24 @@ def pack_matrices(mats: Sequence[CSCMatrix]) -> Tuple[List[Dict], bytes]:
     return headers, b"".join(chunks)
 
 
-def _array_from_payload(desc: Dict, payload: bytes) -> np.ndarray:
+def _array_dtype(desc: Dict) -> np.dtype:
+    """The dtype a descriptor names: a plain number type."""
     dtype = np.dtype(desc["dtype"])
+    if dtype.kind not in "biufc" or dtype.shape:
+        raise RequestInvalid(f"array dtype {dtype} is not a number type")
+    return dtype
+
+
+def _array_size(desc: Dict) -> int:
     size = int(desc["size"])
+    if size < 0:
+        raise RequestInvalid(f"array size {size} is negative")
+    return size
+
+
+def _array_from_payload(desc: Dict, payload: bytes) -> np.ndarray:
+    dtype = _array_dtype(desc)
+    size = _array_size(desc)
     offset = int(desc["offset"])
     end = offset + size * dtype.itemsize
     if offset < 0 or end > len(payload):
@@ -267,10 +302,9 @@ class AttachedSegments:
                     "it before the call completed?)"
                 ) from None
             self._segments[name] = seg
-        dtype = np.dtype(desc["dtype"])
         arr = np.ndarray(
-            (int(desc["size"]),),
-            dtype=dtype,
+            (_array_size(desc),),
+            dtype=_array_dtype(desc),
             buffer=seg.buf,
             offset=int(desc["offset"]),
         )
@@ -305,20 +339,26 @@ def unpack_matrices(
     arrays attach through ``attachments``, whose ``close()`` the caller
     owns — segment-backed views must not outlive the call.
     """
-    m, n = int(shape[0]), int(shape[1])
+    try:
+        m, n = int(shape[0]), int(shape[1])
+    except (TypeError, ValueError, IndexError, KeyError) as err:
+        raise RequestInvalid(f"malformed shape {shape!r}: {err}") from None
+    if not isinstance(entries, (list, tuple)):
+        raise RequestInvalid("matrix entries must be a list")
     mats = []
     for entry in entries:
-        arrays = {}
-        for name in ("indptr", "indices", "data"):
-            desc = entry[name]
-            if "shm" in desc:
-                if attachments is None:
-                    raise RequestInvalid(
-                        "shm array handles need an attachment context"
-                    )
-                arrays[name] = attachments.array(desc["shm"])
-            else:
-                arrays[name] = _array_from_payload(desc, payload)
+        if not isinstance(entry, dict):
+            raise RequestInvalid("a matrix entry must be a map")
+        try:
+            arrays = {
+                name: _entry_array(entry[name], payload, attachments)
+                for name in ("indptr", "indices", "data")
+            }
+        except RequestInvalid:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError,
+                OSError) as err:
+            raise RequestInvalid(f"malformed array descriptor: {err!r}") from None
         if arrays["indptr"].size != n + 1:
             raise RequestInvalid(
                 f"indptr has {arrays['indptr'].size} entries for "
@@ -335,9 +375,20 @@ def unpack_matrices(
                     check=True,
                 )
             )
-        except (ValueError, TypeError) as err:
+        except (ValueError, TypeError, IndexError, OverflowError) as err:
             raise RequestInvalid(f"malformed CSC arrays: {err}") from err
     return mats
+
+
+def _entry_array(
+    desc: Dict, payload: bytes, attachments: Optional[AttachedSegments]
+) -> np.ndarray:
+    """One array of a request entry: inline or a shm handle."""
+    if "shm" in desc:
+        if attachments is None:
+            raise RequestInvalid("shm array handles need an attachment context")
+        return attachments.array(desc["shm"])
+    return _array_from_payload(desc, payload)
 
 
 def pack_result(matrix: CSCMatrix) -> Tuple[Dict, bytes]:

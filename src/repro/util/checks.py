@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence, Tuple
 
+import numpy as np
+
 
 def require(cond: bool, message: str) -> None:
     """Raise ``ValueError(message)`` unless ``cond`` holds."""
@@ -44,3 +46,35 @@ def check_row_bounds(mats: Sequence) -> None:
             raise ValueError(
                 f"addend {i} has row index {bad} outside [0, {m})"
             )
+
+
+def check_product_rows(A, B) -> None:
+    """Every row index the product ``A @ B`` reads must be in range:
+    B's stored rows in ``[0, ka)`` and the rows of the A columns they
+    select in ``[0, ma)``.
+
+    Raises a ``ValueError`` naming the operand and the first offending
+    index in the order the multiply visits them (B in storage order,
+    then the selected A column in storage order).
+    """
+    ma, ka = A.shape
+    t = B.indices[int(B.indptr[0]):int(B.indptr[-1])]
+    bad_t = (t < 0) | (t >= ka)
+    if bad_t.any():
+        raise ValueError(
+            f"B has row index {t[np.argmax(bad_t)]} outside [0, {ka})"
+        )
+    a0 = int(A.indptr[0])
+    rows = A.indices[a0:int(A.indptr[-1])]
+    bad = np.flatnonzero((rows < 0) | (rows >= ma))
+    if bad.size == 0:
+        return
+    # The A columns holding a bad row; the first B entry selecting one
+    # names the column the multiply meets first.
+    bad_cols = np.searchsorted(A.indptr, a0 + bad, side="right") - 1
+    hit = np.isin(t, bad_cols)
+    if hit.any():
+        col = int(t[np.argmax(hit)])
+        seg = A.indices[int(A.indptr[col]):int(A.indptr[col + 1])]
+        r = seg[(seg < 0) | (seg >= ma)][0]
+        raise ValueError(f"A has row index {r} outside [0, {ma})")

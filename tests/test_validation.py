@@ -12,6 +12,10 @@ Three silent-acceptance bugs, now loud:
 * every resilience env knob is validated eagerly in
   ``resolve_policy`` — ``REPRO_BOOT_TIMEOUT=abc`` fails the thread run
   that would never have read it, instead of the first unlucky shm run.
+
+A stored row outside ``[0, m)`` in an addend built with ``check=False``
+is a ``ValueError`` naming the addend and the row on every method and
+executor, and leaves no shared-memory segment behind.
 """
 
 import pytest
@@ -176,3 +180,41 @@ def test_explicit_policy_skips_env_resolution_but_not_validation(
             mats, threads=2, executor="thread",
             resilience=ResiliencePolicy(max_retries=0, fallback=()),
         )
+
+
+# ---------------------------------------------------------------------------
+# Out-of-range rows in unchecked addends
+# ---------------------------------------------------------------------------
+
+
+def _addends_with_bad_row():
+    """Three 4x6 addends built with ``check=False``; addend 1 stores
+    row 7."""
+    import numpy as np
+
+    from repro.formats.csc import CSCMatrix
+
+    return [
+        CSCMatrix((4, 6), np.array([0, 2, 2, 2, 2, 2, 2]),
+                  np.array([1, 7] if i == 1 else [0, 2]),
+                  np.array([1.0, 2.0]), sorted=True, check=False)
+        for i in range(3)
+    ]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread", "shm"])
+@pytest.mark.parametrize("method", repro.available_methods())
+def test_out_of_range_row_is_typed_on_every_method(method, executor):
+    import gc
+
+    from repro.parallel.shm import list_live_segments
+
+    kwargs = {} if executor == "serial" else {
+        "threads": 2, "executor": executor}
+    before = list_live_segments()
+    with pytest.raises(
+        ValueError, match=r"addend 1 has row index 7 outside \[0, 4\)"
+    ):
+        repro.spkadd(_addends_with_bad_row(), method=method, **kwargs)
+    gc.collect()
+    assert list_live_segments() == before
