@@ -158,8 +158,8 @@ def spkadd(
         ``"thread"`` (shared-memory pool; NumPy kernels release the GIL),
         ``"shm"`` (worker processes that sidestep the GIL entirely, fed
         by the zero-copy ``multiprocessing.shared_memory`` engine:
-        inputs published once, output scattered into one symbolically
-        sized shared buffer — see :mod:`repro.parallel.shm`), or
+        inputs published once, chunks written into one shared output
+        buffer and compacted in place — see :mod:`repro.parallel.shm`), or
         ``"serial"`` (an in-process loop, the fallback floor).  ``None``
         (or ``"auto"``) consults the ``REPRO_EXECUTOR`` environment
         variable and then defaults to ``"thread"``.  Only consulted when

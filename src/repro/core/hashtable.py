@@ -65,8 +65,8 @@ def resolve_value_dtype(mats=(), value_dtype=None) -> np.dtype:
     collection resolves to float64.
 
     Every layer of the pipeline — block gathers, kernel accumulators,
-    output assembly, and the shared-memory executor's scratch/output
-    segments — sizes its value buffers from this one function, which is
+    output assembly, and the shared-memory executor's output segment —
+    sizes its value buffers from this one function, which is
     what keeps the emitted dtype consistent across backends, executors,
     and chunkings.
     """

@@ -107,7 +107,7 @@ def _prepare(
     # Cast to the resolved accumulator dtype up front (a no-op for the
     # common all-float64 case): the merges would widen pair by pair
     # anyway, and the add-free k=1 path must emit the same dtype every
-    # other method (and the shm executor's scratch) resolves to.  The
+    # other method (and the shm executor's output) resolves to.  The
     # same applies to the index width when the caller resolved one.
     vdt = resolve_value_dtype(mats)
     out = []

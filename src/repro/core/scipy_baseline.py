@@ -36,7 +36,7 @@ def _to_scipy_list(mats: Sequence[CSCMatrix]) -> List[sp.csc_matrix]:
     Casting up front makes scipy's ``+`` accumulate in the same dtype
     every other method does (exact 64-bit integer sums instead of
     wrap-prone narrow ints) and keeps the output dtype identical across
-    serial and all parallel executors — the shm engine's scratch is
+    serial and all parallel executors — the shm engine's output is
     sized from the same rule.
     """
     from repro.core.hashtable import resolve_value_dtype

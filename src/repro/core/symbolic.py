@@ -58,9 +58,11 @@ def chunk_output_layout(
     column ``ranges`` assigned to each chunk, returns ``(indptr,
     offsets)`` where ``indptr`` is the output pointer array of ``B`` and
     ``offsets[i] = (lo, hi)`` is chunk ``i``'s slice of the output
-    ``indices``/``data`` arrays.  This is what lets the shared-memory
-    executor preallocate one output buffer and have every worker scatter
-    into a private, disjoint slice with no synchronization.
+    ``indices``/``data`` arrays.  Every executor lays out its result
+    with it: the shared-memory engine moves each chunk down from its
+    input-nnz-sized slot of the output segment to ``offsets[i]``, in
+    place, and the thread and serial stages copy their chunk matrices
+    to the same offsets (``executor._concat_results``).
 
     ``index_dtype`` sets the pointer width (``None`` = int64).  The
     cumulative sums are always formed in int64 first and the requested

@@ -106,8 +106,8 @@ def resolve_index_dtype(mats=(), index_dtype=None, *, shape=None, nnz=None) -> n
     and ``nnz`` add bounds known out-of-band (e.g. a generator sizing
     its triplet arrays before any matrix exists).  Every layer — format
     constructors given no explicit width, kernel emit paths, the
-    executors' concatenation, and the shared-memory engine's
-    scratch/output segments — sizes its index buffers from this one
+    executors' concatenation, and the shared-memory engine's output
+    segment — sizes its index buffers from this one
     rule, which is what keeps the emitted index dtype identical across
     methods, backends, executors, and chunkings.
     """

@@ -73,9 +73,9 @@ class Backend:
         (or the caller's ``value_dtype`` override), widened to an
         accumulator-native dtype by
         :func:`repro.core.hashtable.resolve_value_dtype`.  Executors use
-        this to allocate output (and, for the shared-memory engine,
-        scratch) buffers in the dtype the kernels will actually produce
-        instead of assuming float64.
+        this to allocate output buffers (the shared-memory engine's
+        output segment included) in the dtype the kernels will actually
+        produce instead of assuming float64.
         """
         return resolve_value_dtype(mats, value_dtype)
 
@@ -90,8 +90,8 @@ class Backend:
         int64 otherwise; an explicit ``index_dtype`` (or the
         ``REPRO_INDEX_DTYPE`` environment pin) overrides the width,
         subject to the safe-widening guard.  Executors use this to size
-        output (and, for the shared-memory engine, scratch) index
-        buffers in the width the kernels will actually emit.
+        output index buffers (the shared-memory engine's output segment
+        included) in the width the kernels will actually emit.
         """
         return resolve_index_dtype(mats, index_dtype)
 

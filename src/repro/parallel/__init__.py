@@ -15,8 +15,9 @@ hash table) and a disjoint set of columns.  This subpackage provides
   study (Fig 3);
 * :mod:`~repro.parallel.shm` — the ``multiprocessing.shared_memory``
   plumbing behind ``executor="shm"``: segment registry, spawn-safe
-  attach handles, the two-wave compute/scatter engine, and zero-copy
-  result ownership (:class:`~repro.parallel.shm.SharedResultOwner`);
+  attach handles, the one-wave engine that compacts its output in
+  place, and zero-copy result ownership
+  (:class:`~repro.parallel.shm.SharedResultOwner`);
 * :mod:`~repro.parallel.pools` — the persistent worker-pool registry
   the shm engine draws from
   (:func:`~repro.parallel.pools.shutdown_pools` tears it down);
@@ -25,7 +26,7 @@ hash table) and a disjoint set of columns.  This subpackage provides
   fallback chain) every parallel call runs under, and ``run_wave``,
   the one retry loop every stage submits through;
 * :mod:`~repro.parallel.faults` — env/API-driven fault injection
-  (worker kills, chunk delays, scatter failures, ENOSPC, boot hangs)
+  (worker kills, chunk delays, ENOSPC, boot hangs)
   for the chaos suite and for embedders validating their own
   supervision.
 """

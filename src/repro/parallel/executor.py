@@ -13,9 +13,11 @@ executors:
 ``executor="shm"``
     The zero-copy shared-memory engine (:mod:`repro.parallel.shm`):
     inputs are published to ``multiprocessing.shared_memory`` segments
-    once, a symbolic sizing pass determines the exact output layout, and
-    workers scatter their chunks straight into one preallocated shared
-    CSC buffer — no per-chunk pickling, no gather concatenate.  Its
+    once, workers write their chunks into disjoint slots of one shared
+    output buffer sized by input nnz, in one wave, and the parent
+    compacts the buffer in place to the exact layout the chunks'
+    symbolic counts give — no per-chunk pickling, no gather
+    concatenate.  Its
     worker processes sidestep the GIL (which matters for the
     instrumented backend, whose probing rounds are Python-bound) and
     are **persistent**: they come from the registry in
@@ -254,45 +256,35 @@ def _concat_results(mats, parts, index_dtype=None):
     """Stitch per-chunk result matrices (disjoint column ranges) back
     into one CSC matrix.
 
-    Chunk kernels resolve their index width from *chunk* bounds, so a
-    chunk may come back narrower than the call-level width; the
-    concatenation allocates at the width resolved over the full call
-    (plus the caller's override) so every executor emits one dtype.
+    The layout comes from the chunks' column counts through
+    :func:`~repro.core.symbolic.chunk_output_layout`, the rule the shm
+    engine uses, at the index width resolved over the full call (plus
+    the caller's override): chunk kernels resolve their width from
+    *chunk* bounds and may come back narrower, but every executor emits
+    one dtype.
     """
+    from repro.core.symbolic import chunk_output_layout
     from repro.kernels import resolve_index_dtype, resolve_value_dtype
 
-    m = mats[0].shape[0]
-    n = mats[0].shape[1]
-    idt = resolve_index_dtype(mats, index_dtype)
-    indptr = np.zeros(n + 1, dtype=idt)
+    m, n = mats[0].shape
     chunks = sorted(parts, key=lambda p: p[0])
-    data = []
-    total = sum(sub.nnz for _, sub in chunks)
-    indices = np.empty(total, dtype=idt)
-    offset = 0
-    for j0, sub in chunks:
-        w = sub.shape[1]
-        # Rebase in int64 (chunk pointers + a global offset can exceed a
-        # narrow chunk width mid-expression), then narrow explicitly to
-        # the resolved width.  The narrowing is lossless by invariant,
-        # not by the cast itself: the call-level resolution guard picked
-        # ``idt`` to hold the summed input nnz, an upper bound on every
-        # rebased pointer entry.  The explicit astype states that
-        # invariant at the narrowing site instead of burying it in a
-        # silent unsafe setitem.
-        rebased = sub.indptr[1:].astype(np.int64, copy=False) + offset
-        indptr[j0 + 1 : j0 + w + 1] = rebased.astype(idt, copy=False)
-        indices[offset : offset + sub.nnz] = sub.indices
-        offset += sub.nnz
-        data.append(sub.data)
-    # forward-fill empty gaps (there are none when chunks cover [0, n))
-    np.maximum.accumulate(indptr, out=indptr)
+    ranges = [(j0, j0 + sub.shape[1]) for j0, sub in chunks]
+    col_nnz = np.zeros(n, dtype=np.int64)
+    for (j0, j1), (_, sub) in zip(ranges, chunks):
+        col_nnz[j0:j1] = np.diff(sub.indptr)
+    indptr, offsets = chunk_output_layout(
+        col_nnz, ranges, index_dtype=resolve_index_dtype(mats, index_dtype)
+    )
+    indices = np.empty(int(indptr[-1]), dtype=indptr.dtype)
+    data = np.empty(int(indptr[-1]), dtype=resolve_value_dtype(mats))
+    for (lo, hi), (_, sub) in zip(offsets, chunks):
+        indices[lo:hi] = sub.indices
+        data[lo:hi] = sub.data
     return CSCMatrix(
         (m, n),
         indptr,
         indices,
-        np.concatenate(data) if data
-        else np.empty(0, dtype=resolve_value_dtype(mats)),
+        data,
         sorted=all(s.sorted for _, s in chunks),
         check=False,
     )
@@ -396,11 +388,10 @@ def _thread_pool(threads: int):
 def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
                    threads, index_dtype, materialize, policy, deadline,
                    plan):
-    """Run the call on one fallback stage.
-
-    Returns ``(out, stat_items, parts)``: the shm stage assembles its
-    own output matrix (``parts`` is None); the others return per-chunk
-    matrices for :func:`_concat_results`.
+    """Run the call on one fallback stage; returns ``(out,
+    stat_items)``.  The shm engine assembles its own output matrix; the
+    thread and serial stages stitch their chunk matrices with
+    :func:`_concat_results`.
     """
     if stage == "shm":
         from repro.parallel.shm import shm_parallel_run
@@ -411,15 +402,16 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
             index_dtype=index_dtype, materialize=materialize,
             policy=policy, deadline=deadline, fault_plan=plan,
         )
-        return out, stat_items, None
+        return out, stat_items
     from repro.parallel.resilience import run_wave
 
     def make_task(i):
         # Thread and serial chunks run in the caller's process, where a
-        # kill directive degrades to an in-chunk InjectedFault.
+        # kill directive degrades to an in-chunk InjectedFault and a
+        # delay ends soon after the call's deadline.
         j0, j1 = ranges[i]
         fault = (
-            plan.take_chunk_fault(i, can_kill=False)
+            plan.take_chunk_fault(i, can_kill=False, deadline=deadline)
             if plan is not None else None
         )
         views = [A.col_view(j0, j1) for A in mats]
@@ -440,9 +432,10 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
             lambda: contextlib.nullcontext(_InlineSubmitter(deadline)),
             "serial chunk",
         )
-    stat_items = [(j0, st, st_sym) for j0, _, st, st_sym in results]
-    parts = [(j0, sub) for j0, sub, _, _ in results]
-    return None, stat_items, parts
+    out = _concat_results(
+        mats, [(j0, sub) for j0, sub, _, _ in results], index_dtype
+    )
+    return out, [(j0, st, st_sym) for j0, _, st, st_sym in results]
 
 
 def parallel_spkadd(
@@ -534,12 +527,11 @@ def parallel_spkadd(
     chain = policy.chain_for(executor)
 
     out: Optional[CSCMatrix] = None
-    parts = None
     stat_items = None
     for pos, stage in enumerate(chain):
         dl.check(f"start of {stage!r} executor stage")
         try:
-            out, stat_items, parts = _execute_stage(
+            out, stat_items = _execute_stage(
                 stage, mats, method, ranges,
                 sorted_output=sorted_output, kwargs=kwargs,
                 threads=threads, index_dtype=index_dtype,
@@ -584,8 +576,6 @@ def parallel_spkadd(
             merged_sym.merge(st_sym)
     merged.k = len(mats)
     merged.n_cols = n
-    if out is None:
-        out = _concat_results(mats, parts, index_dtype)
     return SpKAddResult(out, merged, merged_sym, method=method)
 
 

@@ -7,18 +7,17 @@ injection points the chaos suite (``tests/test_resilience.py``) drives:
 
 ``kill_chunk=N``
     SIGKILL the worker while it runs chunk ordinal ``N`` (the realistic
-    mid-merge crash: the pool breaks, staged scratch may be half
-    written).  On the thread/serial stages — where killing the "worker"
-    would kill the caller — the same directive degrades to raising
-    :class:`InjectedFault` in the chunk, which the retry layer treats
-    as the same class of transient failure.
+    mid-merge crash: the pool breaks, the chunk's output slot may be
+    half written).  On the thread/serial stages — where killing the
+    "worker" would kill the caller — the same directive degrades to
+    raising :class:`InjectedFault` in the chunk, which the retry layer
+    treats as the same class of transient failure.
 ``delay_chunk=N:SECONDS``
     Sleep inside the worker before running chunk ``N`` (drives the
     deadline tests: a hung chunk must not hold the call past its
-    deadline).
-``scatter_raise``
-    Raise :class:`InjectedFault` in the shm engine's first scatter
-    batch (exercises idempotent re-scatter).
+    deadline).  On the thread/serial stages the sleep ends at the call's
+    deadline plus :data:`DELAY_GRACE_S` with an :class:`InjectedFault`,
+    so a pool thread does not hold interpreter exit for the full delay.
 ``enospc``
     The next shared-segment allocation fails as if ``/dev/shm`` were
     full (drives the shm → thread fallback).
@@ -60,6 +59,10 @@ from typing import Dict, Optional
 #: of a chaos run experiences the configured faults with fresh counters.
 FAULTS_ENV_VAR = "REPRO_FAULTS"
 
+#: how long past the call's deadline an in-process delayed chunk keeps
+#: sleeping before it gives up (see ``delay_chunk`` above).
+DELAY_GRACE_S = 0.1
+
 
 class InjectedFault(RuntimeError):
     """An error raised by an injection point.
@@ -89,7 +92,6 @@ class FaultPlan:
         delay_chunk: Optional[int] = None,
         delay_s: float = 0.0,
         delay_count: int = 1,
-        scatter_raise: int = 0,
         enospc: int = 0,
         boot_hang_s: float = 0.0,
     ) -> None:
@@ -99,26 +101,35 @@ class FaultPlan:
         self.boot_hang_s = float(boot_hang_s)
         self._kill_left = int(kill_count) if kill_chunk is not None else 0
         self._delay_left = int(delay_count) if delay_chunk is not None else 0
-        self._scatter_left = int(scatter_raise)
         self._enospc_left = int(enospc)
         self._boot_hang_taken = False
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- takes
     def take_chunk_fault(
-        self, ordinal: int, *, can_kill: bool
+        self, ordinal: int, *, can_kill: bool, deadline=None
     ) -> Optional[Dict]:
         """The fault dict to ship with chunk ``ordinal``, or ``None``.
 
         ``can_kill`` is False on stages running chunks in the caller's
         own process (thread, serial), where a kill directive degrades to
-        an in-chunk :class:`InjectedFault` raise.
+        an in-chunk :class:`InjectedFault` raise.  Those stages also pass
+        their call's :class:`~repro.parallel.resilience.Deadline`, which
+        cuts a delay at the deadline plus :data:`DELAY_GRACE_S`, after
+        which the chunk raises.
         """
         fault: Dict = {}
         with self._lock:
             if self._delay_left > 0 and ordinal == self.delay_chunk:
                 self._delay_left -= 1
                 fault["delay_s"] = self.delay_s
+                rem = None if deadline is None else deadline.remaining()
+                if rem is not None and rem + DELAY_GRACE_S < self.delay_s:
+                    fault["delay_s"] = rem + DELAY_GRACE_S
+                    fault["raise"] = (
+                        f"injected delay on chunk {ordinal} cut at the "
+                        "call's deadline"
+                    )
             if self._kill_left > 0 and ordinal == self.kill_chunk:
                 self._kill_left -= 1
                 if can_kill:
@@ -126,13 +137,6 @@ class FaultPlan:
                 else:
                     fault["raise"] = f"injected kill on chunk {ordinal}"
         return fault or None
-
-    def take_scatter_fault(self) -> Optional[Dict]:
-        with self._lock:
-            if self._scatter_left <= 0:
-                return None
-            self._scatter_left -= 1
-        return {"raise": "injected scatter failure"}
 
     def take_enospc(self) -> bool:
         with self._lock:
@@ -215,8 +219,6 @@ def parse_plan(raw: str) -> FaultPlan:
                 ordinal, _, seconds = value.partition(":")
                 kwargs["delay_chunk"] = int(ordinal)
                 kwargs["delay_s"] = float(seconds) if seconds else 0.1
-            elif name == "scatter_raise":
-                kwargs["scatter_raise"] = int(value) if value else 1
             elif name == "enospc":
                 kwargs["enospc"] = int(value) if value else 1
             elif name == "boot_hang":

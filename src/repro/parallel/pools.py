@@ -63,7 +63,15 @@ def _close(
     that races it can fail with ``OSError("handle is closed")``.  The
     pool is dead either way, so for a broken pool the error means
     nothing; a healthy pool's errors still propagate.
+
+    A broken pool's workers are terminated first: the manager thread
+    misses a worker whose spawn a concurrent ``submit`` had under way and
+    then joins it forever (hanging a ``wait=True`` close, or exit).
     """
+    if pool_is_broken(pool):
+        for proc in list((getattr(pool, "_processes", None) or {}).values()):
+            if proc.exitcode is None:
+                proc.terminate()
     try:
         pool.shutdown(wait=wait, cancel_futures=cancel_futures)
     except OSError:
@@ -128,7 +136,9 @@ class PoolRegistry:
         its pool shut down between two submit waves and fail with
         ``RuntimeError`` despite healthy workers.  A pool that broke
         while leased is discarded on exit, so the next lease forks a
-        clean one.
+        clean one, and closed with ``wait=True``, so none of its workers
+        still writes into the caller's shared segments once the lease
+        ends (the shm engine compacts its output in place after a wave).
         """
         pool = self._acquire(
             threads, mp_context, leased=True, deadline=deadline
@@ -140,7 +150,7 @@ class PoolRegistry:
             # the doomed pool now that the call is over.
             self._release_lease(pool)
             if pool_is_broken(pool):
-                self.discard(pool)
+                self.discard(pool, wait=True)
 
     def _acquire(
         self, threads, mp_context, *, leased: bool, deadline=None
@@ -185,7 +195,7 @@ class PoolRegistry:
             _close(old, cancel_futures=False)
         if rebuilt:
             # A worker died hard; it may have orphaned shared segments
-            # (e.g. the shm engine's scratch mid-write).  Sweep outside
+            # (e.g. the shm engine's output mid-write).  Sweep outside
             # the registry lock — unlinking is slow-path filesystem work.
             from repro.parallel.shm import sweep_orphans
 
@@ -230,16 +240,17 @@ class PoolRegistry:
         Used for pools observed broken; the next :meth:`get` for the
         key builds a clean replacement.  Safe to call with a pool the
         registry no longer holds (already replaced).  Lease-aware like
-        :meth:`shutdown`: while another call still holds a lease on the
-        pool, it is only unregistered here and closed by the releasing
-        lease — a healthy concurrent call is never cancelled from under
-        its caller.
+        :meth:`shutdown`: while another call still holds a lease on a
+        healthy pool, it is only unregistered here and closed by the
+        releasing lease — a healthy concurrent call is never cancelled
+        from under its caller.  A broken pool serves no caller, so it
+        is closed at once.
         """
         with self._lock:
             for key, p in list(self._pools.items()):
                 if p is pool:
                     del self._pools[key]
-            if self._leases.get(pool, 0):
+            if self._leases.get(pool, 0) and not pool_is_broken(pool):
                 self._doomed.add(pool)
                 return
             self._doomed.discard(pool)

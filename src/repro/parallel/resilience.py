@@ -25,8 +25,8 @@ substrate survives the failures that substrate will inevitably see:
   stage raises to hand the call to the next one.
 
 :func:`run_wave` is the one submit → collect → retry → backoff loop
-every stage runs its tasks through: the shm engine's compute and
-scatter waves, the thread pool and the serial floor differ only in the
+every stage runs its tasks through: the shm engine's single compute
+wave, the thread pool and the serial floor differ only in the
 ``lease`` that supplies something with a ``submit`` method.
 """
 

@@ -3,22 +3,22 @@
 Pickling column chunks to worker processes copies every chunk view in
 and every chunk result back — pure copy overhead for a bandwidth-bound
 kernel.  This engine moves the data through
-``multiprocessing.shared_memory`` instead, on a persistent worker pool:
+``multiprocessing.shared_memory`` instead, on a persistent worker pool,
+in **one wave** (the paper's Section III-A scheme: chunks own disjoint
+output slices, so nothing synchronizes):
 
-1. the parent **publishes** the k input CSC arrays
-   (indptr/indices/values) into one named shared segment *once* per
-   call;
-2. workers **attach read-only** and compute their column chunks on
-   zero-copy views of the shared inputs, staging each chunk's output in
-   a parent-owned scratch slot sized by the chunk's input nnz (an exact
-   upper bound: SpKAdd output is the structural union of its inputs) and
-   returning only the per-column output counts — the **symbolic sizing**
-   of the result;
-3. the parent turns the symbolic counts into the exact output layout
-   (:func:`repro.core.symbolic.chunk_output_layout`), preallocates one
-   shared CSC buffer, and workers **scatter** their staged chunks into
-   their private output slice — no per-chunk pickling, no gather
-   concatenate.
+1. the parent **publishes** the k input CSC arrays into one named
+   shared segment *once* per call, and allocates one output segment
+   sized by the summed input nnz (an exact upper bound: SpKAdd output
+   is the structural union of its inputs);
+2. workers **attach** and compute their column chunks on zero-copy
+   views of the inputs, writing chunk ``i`` into its slot
+   ``[ub[i], ub[i+1])`` of the output (``ub`` is the prefix sum of the
+   chunks' input nnz) and returning only the per-column output counts
+   — the **symbolic sizing** of the result;
+3. the parent turns the counts into the exact layout
+   (:func:`repro.core.symbolic.chunk_output_layout`) and **compacts in
+   place** (:meth:`SegmentRegistry.compact`).
 
 Chunk results are produced by the same ``_run_chunk`` the thread pool
 and the serial floor use, so the assembled matrix (and the merged
@@ -26,42 +26,36 @@ stats) are bit-identical across all executors and both kernel backends.
 
 Engine lifecycle (:class:`SharedMemoryPool`): workers come from the
 persistent pool registry (:mod:`repro.parallel.pools`) and are **reused
-across calls** — repeated ``spkadd`` calls pay the worker-startup cost
-once (a ``forkserver`` spawn by default — see
+across calls** (a ``forkserver`` spawn by default — see
 :func:`repro.parallel.executor.mp_context`).  Workers key their cached
 attachments by a per-call session id and drop the previous session's
 mappings when a new one arrives, so steady-state worker memory is
 bounded by one call's segments.  A broken pool (crashed worker) is
-discarded from the registry and rebuilt on the next call;
-:func:`repro.parallel.pools.shutdown_pools` releases the workers.
+discarded from the registry and rebuilt on the next call.
 
 Segment lifecycle: every segment is created by the *parent* and tracked
-in a :class:`SegmentRegistry`; input and scratch segments are unlinked
-in a ``finally`` so none survives normal exit, a worker exception, or a
-broken pool.  Workers only ever attach by name — handles travel as
-picklable :class:`SharedArraySpec` tuples, which keeps the engine safe
-under the ``spawn`` start method (Windows/macOS) as well as ``fork``.
+in a :class:`SegmentRegistry` that unlinks it in a ``finally``.
+Workers only ever attach by name — handles travel as picklable
+:class:`SharedArraySpec` tuples, which keeps the engine safe under the
+``spawn`` start method as well as ``fork``.
 
-Result placement is **zero-copy** by default: the finished CSC arrays
-are returned as views into the output segment, kept alive by a
+Result placement is **zero-copy** by default: the compacted arrays are
+views into the output segment, kept alive by a
 :class:`SharedResultOwner` whose finalizer unlinks the segment when the
-last view dies — huge outputs never pay a final memcpy, and ``/dev/shm``
-still ends empty once the result is garbage-collected.
-``spkadd(..., materialize=True)`` (or ``REPRO_SHM_RESULTS=materialize``)
-restores the private-copy behaviour for callers whose results must
-outlive any shared-memory bookkeeping.
+last view dies.  ``spkadd(..., materialize=True)`` (or
+``REPRO_SHM_RESULTS=materialize``) copies them into private memory.
 
-Resilience: both submit waves run through
+Resilience: the wave runs through
 :func:`~repro.parallel.resilience.run_wave`, which retries transiently
-failed chunks on a rebuilt pool under the call's
-:class:`~repro.parallel.resilience.ResiliencePolicy` — safe because
-every staged write is **idempotent by construction** (each chunk owns a
-fixed scratch slot and a disjoint output slice, so a retried chunk
-rewrites its range bit-identically).  Segment names embed the creating
-PID, so :func:`sweep_orphans` can unlink segments whose creator died
-without running its ``finally`` (a SIGKILLed *parent*; worker deaths
-are already covered by parent-side ownership); the sweep runs on pool
-rebuild, before retry waves, and at interpreter exit.
+failed chunks on a rebuilt pool — safe because a retried chunk rewrites
+its own slot bit-identically.  Compaction is not idempotent, so it must
+not overlap a stale writer: the wave's only transient failure is a
+broken pool, and a lease whose pool broke closes it with ``wait=True``
+(:meth:`repro.parallel.pools.PoolRegistry.lease`), joining its workers
+before the retry.  Segment names embed the creating PID, so
+:func:`sweep_orphans` can unlink segments whose creator died without
+running its ``finally``; the sweep runs on pool rebuild, before
+retries, and at interpreter exit.
 """
 
 from __future__ import annotations
@@ -69,13 +63,14 @@ from __future__ import annotations
 import atexit
 import contextlib
 import errno
+import mmap
 import os
 import secrets
 import sys
 import threading
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -95,6 +90,9 @@ SHM_RESULTS_ENV_VAR = "REPRO_SHM_RESULTS"
 #: byte alignment of packed arrays inside a segment (>= any dtype's
 #: itemsize here; keeps every view naturally aligned for NumPy).
 _ALIGN = 16
+
+#: bounce-buffer size of :meth:`SegmentRegistry.compact`.
+_MOVE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -302,10 +300,6 @@ class SegmentRegistry:
     def view(self, spec: SharedArraySpec) -> np.ndarray:
         return self._views[spec]
 
-    def read_out(self, spec: SharedArraySpec) -> np.ndarray:
-        """Private copy of an array's contents (survives :meth:`unlink`)."""
-        return self._views[spec].copy()
-
     def detach(self, name: str) -> shared_memory.SharedMemory:
         """Transfer ownership of segment ``name`` out of the registry.
 
@@ -318,6 +312,53 @@ class SegmentRegistry:
         for spec in [s for s in self._views if s.name == name]:
             del self._views[spec]
         return seg
+
+    def compact(
+        self,
+        specs: Sequence[SharedArraySpec],
+        slots: Sequence[int],
+        offsets: Sequence[Tuple[int, int]],
+    ) -> None:
+        """Move chunk ``i``'s entries of every array in ``specs`` (one
+        segment) down from index ``slots[i]`` to ``offsets[i]``, in
+        place, and release the pages past the compacted prefix.
+
+        Chunks move down in ascending offset order, so no move
+        overwrites a source that has not moved yet, and a forward block copy reads
+        each block before a later write can reach it.  The copy goes
+        through the segment's file descriptor, not the parent's mapping:
+        mapping the sources would raise the parent's resident set by the
+        slack between the upper bound and the exact size.
+        """
+        seg = self._segments[specs[0].name]
+        moves = sorted(zip(offsets, slots))
+        total = moves[-1][0][1] if moves else 0
+        itemsizes = [np.dtype(spec.dtype).itemsize for spec in specs]
+        buf = memoryview(bytearray(min(total * max(itemsizes), _MOVE_BLOCK)))
+        for spec, itemsize in zip(specs, itemsizes):
+            for (lo, hi), slot in moves:
+                if lo == slot:
+                    continue
+                src = spec.offset + slot * itemsize
+                dst = spec.offset + lo * itemsize
+                nbytes = (hi - lo) * itemsize
+                for done in range(0, nbytes, _MOVE_BLOCK):
+                    block = buf[: min(_MOVE_BLOCK, nbytes - done)]
+                    if (
+                        os.preadv(seg._fd, [block], src + done) != len(block)
+                        or os.pwrite(seg._fd, block, dst + done) != len(block)
+                    ):
+                        raise OSError(
+                            errno.EIO, f"short copy compacting {spec.name}"
+                        )
+            start = -(-(spec.offset + total * itemsize) // mmap.PAGESIZE)
+            end = (spec.offset + spec.size * itemsize) // mmap.PAGESIZE
+            if end > start and hasattr(mmap, "MADV_REMOVE"):
+                seg._mmap.madvise(
+                    mmap.MADV_REMOVE,
+                    start * mmap.PAGESIZE,
+                    (end - start) * mmap.PAGESIZE,
+                )
 
     # ----------------------------------------------------------- cleanup
     def unlink(self) -> None:
@@ -497,18 +538,19 @@ def _worker_mats(state: dict) -> Sequence[CSCMatrix]:
 
 
 def _compute_chunk(task) -> tuple:
-    """Wave 1: run the kernel on columns ``[j0, j1)`` of the shared
-    inputs and stage the result in this chunk's scratch slot.
+    """Run the kernel on columns ``[j0, j1)`` of the shared inputs and
+    write the result into this chunk's slot ``[lo, hi)`` of the output
+    segment.
 
     Returns the symbolic sizing of the chunk (exact per-column output
     counts) plus the chunk stats; the values themselves stay in shared
     memory and never cross the pipe.
 
-    Idempotent: the chunk owns its scratch slot outright, so a retried
-    task (after a worker death) restages the identical bytes over
-    whatever a half-finished predecessor left behind.
+    Idempotent: the chunk owns its slot outright, so a retried task
+    (after a worker death) rewrites the identical bytes over whatever a
+    half-finished predecessor left behind.
     """
-    session, j0, j1, scratch_indices, scratch_data, fault = task
+    session, j0, j1, lo, hi, fault = task
     state = _ensure_session(session)
     if fault:
         from repro.parallel.faults import apply_chunk_fault
@@ -524,76 +566,44 @@ def _compute_chunk(task) -> tuple:
         session["kwargs"],
     )
     att = state["attach"]
-    idx_buf = att.attach(scratch_indices)
-    dat_buf = att.attach(scratch_data)
+    out_indices, out_data = session["out"]
+    idx_buf = att.attach(out_indices)[lo:hi]
+    dat_buf = att.attach(out_data)[lo:hi]
     if sub.nnz > idx_buf.size:
         raise ChunkInvariantError(
             f"chunk [{j0}, {j1}) produced {sub.nnz} entries, more than its "
             f"input-nnz bound {idx_buf.size} — kernel violated the "
             "structural-union invariant"
         )
-    # Scratch dtypes match the kernel's by construction (the parent
-    # sizes them from the same ``resolve_value_dtype`` /
+    # Output dtypes match the kernel's by construction (the parent
+    # sizes the segment from the same ``resolve_value_dtype`` /
     # ``resolve_index_dtype`` rules the kernels emit in), so any value
-    # dtype — float32, exact int64, ... — stages without conversion.  A
+    # dtype — float32, exact int64, ... — lands without conversion.  A
     # widening cast is tolerated: chunk kernels resolve their *chunk's*
     # index bounds, which may come out one width below the call-level
-    # resolution staged here.  A lossy cast (a kernel emitting wider
+    # resolution used here.  A lossy cast (a kernel emitting wider
     # values or indices than the parent resolved) would silently
     # round/wrap, so it stays a hard error.
     if not np.can_cast(sub.data.dtype, dat_buf.dtype, casting="safe"):
         raise ChunkInvariantError(
             f"chunk [{j0}, {j1}) emitted {sub.data.dtype} values but the "
-            f"shared scratch is {dat_buf.dtype}; the kernel disagrees "
-            "with resolve_value_dtype — staging would lose precision"
+            f"shared output is {dat_buf.dtype}; the kernel disagrees "
+            "with resolve_value_dtype — writing would lose precision"
         )
     if not np.can_cast(sub.indices.dtype, idx_buf.dtype, casting="safe"):
         raise ChunkInvariantError(
             f"chunk [{j0}, {j1}) emitted {sub.indices.dtype} indices but "
-            f"the shared scratch is {idx_buf.dtype}; the kernel disagrees "
-            "with resolve_index_dtype — staging would wrap indices"
+            f"the shared output is {idx_buf.dtype}; the kernel disagrees "
+            "with resolve_index_dtype — writing would wrap indices"
         )
     idx_buf[: sub.nnz] = sub.indices
     dat_buf[: sub.nnz] = sub.data
     return j0, np.diff(sub.indptr), bool(sub.sorted), st, st_sym
 
 
-def _scatter_chunks(task) -> int:
-    """Wave 2: copy staged chunks into their slices of the output buffer.
-
-    Each worker receives one batch (the copies are balanced by
-    construction — chunks have near-equal nnz), so the scatter costs a
-    single pool round-trip per worker.  Idempotent: every chunk's
-    output slice is disjoint, so a retried batch rewrites its ranges
-    bit-identically.
-    """
-    session, batch, fault = task
-    state = _ensure_session(session)
-    if fault:
-        from repro.parallel.faults import apply_chunk_fault
-
-        apply_chunk_fault(fault)
-    att = state["attach"]
-    done = 0
-    for nnz, lo, scratch_indices, scratch_data, out_indices, out_data in batch:
-        att.attach(out_indices)[lo : lo + nnz] = att.attach(scratch_indices)[:nnz]
-        att.attach(out_data)[lo : lo + nnz] = att.attach(scratch_data)[:nnz]
-        done += 1
-    return done
-
-
 # --------------------------------------------------------------------------
 # Parent side.
 # --------------------------------------------------------------------------
-
-
-def _chunk_input_nnz(
-    mats: Sequence[CSCMatrix], ranges: Sequence[Tuple[int, int]]
-) -> List[int]:
-    return [
-        int(sum(int(A.indptr[j1]) - int(A.indptr[j0]) for A in mats))
-        for j0, j1 in ranges
-    ]
 
 
 class SharedMemoryPool:
@@ -716,21 +726,30 @@ class SharedMemoryPool:
     ):
         from repro.core.symbolic import chunk_output_layout
         from repro.kernels import resolve_index_dtype, resolve_value_dtype
+        from repro.parallel.executor import _total_col_nnz
         from repro.parallel.resilience import run_wave
 
         m, n = mats[0].shape
         # The kernels accumulate (and emit) in the dtypes these rules
-        # resolve over the k addends; scratch and output segments are
-        # sized from them, so float32 collections move half the value
-        # bytes of float64, int32-resolved calls move half the index
-        # bytes of int64, and int64 sums stage exactly.
+        # resolve over the k addends; the output segment is sized from
+        # them, so float32 collections move half the value bytes of
+        # float64, int32-resolved calls move half the index bytes of
+        # int64, and int64 sums land exactly.
         value_dtype = resolve_value_dtype(mats)
         idx_dtype = resolve_index_dtype(mats, index_dtype)
+        # Chunk [j0, j1) writes into slot [ub[j0], ub[j1]) of the output,
+        # sized by its summed input nnz — an exact upper bound on its
+        # output nnz.
+        ub = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(_total_col_nnz(mats), out=ub[1:])
         registry = SegmentRegistry(fault_plan=fault_plan)
         try:
             deadline.check("shm input publish")
             input_specs = registry.publish(
                 [arr for A in mats for arr in (A.indptr, A.indices, A.data)]
+            )
+            out_indices, out_data = registry.allocate(
+                [(ub[-1], idx_dtype), (ub[-1], value_dtype)]
             )
             session = {
                 "id": secrets.token_hex(8),
@@ -744,31 +763,20 @@ class SharedMemoryPool:
                     }
                     for i, A in enumerate(mats)
                 ],
+                "out": (out_indices, out_data),
                 "method": method,
                 "sorted_output": sorted_output,
                 "kwargs": kwargs,
                 "native_library": _native_library(method, kwargs),
             }
-            # Scratch staging slots, sized by each chunk's summed input
-            # nnz — an exact upper bound on its output nnz — in the
-            # resolved index and value dtypes.
-            scratch_specs = registry.allocate(
-                [
-                    layout
-                    for nnz_in in _chunk_input_nnz(mats, ranges)
-                    for layout in ((nnz_in, idx_dtype), (nnz_in, value_dtype))
-                ]
-            )
-            scratch = list(zip(scratch_specs[0::2], scratch_specs[1::2]))
 
             def compute_task(i):
                 j0, j1 = ranges[i]
-                s_idx, s_dat = scratch[i]
                 fault = (
                     fault_plan.take_chunk_fault(i, can_kill=True)
                     if fault_plan is not None else None
                 )
-                return (session, j0, j1, s_idx, s_dat, fault)
+                return (session, j0, j1, int(ub[j0]), int(ub[j1]), fault)
 
             def lease():
                 return self._lease_pool(threads, deadline=deadline)
@@ -783,49 +791,30 @@ class SharedMemoryPool:
                 col_nnz[j0 : j0 + counts.size] = counts
                 stat_items.append((j0, st, st_sym))
                 sorted_flags.append(sub_sorted)
+            # idx_dtype holds the summed input nnz, so the exact layout
+            # comes back in the same width.
             indptr, offsets = chunk_output_layout(
                 col_nnz, ranges, index_dtype=idx_dtype
             )
+            registry.compact(
+                (out_indices, out_data), [int(ub[j0]) for j0, _ in ranges],
+                offsets,
+            )
             total = int(indptr[-1])
-            deadline.check("shm output allocation")
-            out_indices, out_data = registry.allocate(
-                [(total, indptr.dtype), (total, value_dtype)]
-            )
-            scatter_tasks = [
-                (hi - lo, lo, s_idx, s_dat, out_indices, out_data)
-                for (lo, hi), (s_idx, s_dat) in zip(offsets, scratch)
-            ]
-            batches = [
-                scatter_tasks[i::threads]
-                for i in range(threads)
-                if scatter_tasks[i::threads]
-            ]
-
-            def scatter_task(b):
-                fault = (
-                    fault_plan.take_scatter_fault()
-                    if fault_plan is not None else None
-                )
-                return (session, batches[b], fault)
-
-            run_wave(
-                lease, _scatter_chunks, scatter_task, len(batches),
-                policy=policy, deadline=deadline, label="shm scatter",
-            )
             deadline.check("shm result assembly")
             owner: Optional[SharedResultOwner] = None
             if materialize:
-                out_idx_arr = registry.read_out(out_indices)
-                out_dat_arr = registry.read_out(out_data)
+                out_idx_arr = registry.view(out_indices)[:total].copy()
+                out_dat_arr = registry.view(out_data)[:total].copy()
             else:
                 # Zero-copy: hand the output segment to a keep-alive
-                # owner and return views into it — the final memcpy
-                # disappears, and the segment unlinks when the last view
-                # is garbage-collected.  (indices and data share one
-                # packed segment, so one detach covers both.)
+                # owner and return views of its compacted prefix — the
+                # final memcpy disappears, and the segment unlinks when
+                # the last view is garbage-collected.  (indices and data
+                # share one packed segment, so one detach covers both.)
                 owner = SharedResultOwner(registry.detach(out_indices.name))
-                out_idx_arr = owner.adopt(out_indices)
-                out_dat_arr = owner.adopt(out_data)
+                out_idx_arr = owner.adopt(replace(out_indices, size=total))
+                out_dat_arr = owner.adopt(replace(out_data, size=total))
             out = CSCMatrix(
                 (m, n),
                 indptr,

@@ -146,7 +146,7 @@ class TestPoolRegistry:
         with lease_pool(2) as pool:
             shutdown_pools()
             assert active_pools() == {}
-            # Mid-call submits still succeed (the scatter-wave case).
+            # Mid-call submits still succeed (a retried wave's case).
             assert pool.submit(int, "7").result() == 7
         with pytest.raises(RuntimeError):  # closed once the call ended
             pool.submit(int, "1")

@@ -159,13 +159,16 @@ class TestPolicyResolution:
 
     def test_fault_plan_grammar(self):
         p = faults.parse_plan("kill_chunk=1:3,delay_chunk=0:0.25,"
-                              "scatter_raise=2,enospc,boot_hang=1.5")
+                              "enospc,boot_hang=1.5")
         assert p.kill_chunk == 1 and p._kill_left == 3
         assert p.delay_chunk == 0 and p.delay_s == 0.25
-        assert p._scatter_left == 2 and p._enospc_left == 1
+        assert p._enospc_left == 1
         assert p.boot_hang_s == 1.5
-        with pytest.raises(ValueError, match=faults.FAULTS_ENV_VAR):
-            faults.parse_plan("explode=1")
+        # A plan naming a removed fault kind (scatter_raise) must fail
+        # loudly, not inject nothing.
+        for stale in ("explode=1", "scatter_raise", "scatter_raise=2"):
+            with pytest.raises(ValueError, match=faults.FAULTS_ENV_VAR):
+                faults.parse_plan(stale)
 
     def test_fault_counters_consumed(self):
         p = faults.FaultPlan(kill_chunk=2)
@@ -254,14 +257,68 @@ class TestKillRetry:
             res = spkadd(mats, method="hash", threads=2, executor="serial")
         assert_bit_identical(res.matrix, base.matrix, "serial retry")
 
-    def test_scatter_fault_retried_bit_identical(self, mats):
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_stale_writer_dead_before_compaction(
+        self, mats, materialize, monkeypatch
+    ):
+        """Chunk 1's worker dies while chunk 0's worker still sleeps, so
+        the broken pool holds a writer of this call's output segment.
+        The shm engine compacts that segment in place after the retried
+        wave; every worker of the broken pool must be dead before the
+        layout (and the compaction right after it) starts.  The pool's
+        manager thread is slowed down between failing the futures and
+        terminating the survivors, so the retry would outrun it unless
+        the broken pool is joined."""
+        from multiprocessing.process import BaseProcess
+
+        from repro.core import symbolic
+        from repro.parallel import shm
+
+        terminate = BaseProcess.terminate
+
+        def slow_terminate(proc):
+            time.sleep(0.5)
+            terminate(proc)
+
+        monkeypatch.setattr(BaseProcess, "terminate", slow_terminate)
+
         base = baseline_result(mats)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with faults.inject(scatter_raise=1):
-                res = spkadd(mats, method="hash", threads=2,
-                             executor="shm", materialize=True)
-        assert_bit_identical(res.matrix, base.matrix, "scatter retry")
+        seg_before = list_live_segments()
+        engine = shm._DEFAULT_ENGINE
+        lease_pool = engine._lease_pool
+        broken_pids = set()
+
+        @contextlib.contextmanager
+        def recording_lease(threads, deadline=None):
+            with lease_pool(threads, deadline=deadline) as pool:
+                try:
+                    yield pool
+                finally:
+                    if pool_is_broken(pool):
+                        broken_pids.update(tuple(pool._processes or ()))
+
+        layout = symbolic.chunk_output_layout
+        alive_at_layout = []
+
+        def checked_layout(*args, **kwargs):
+            alive_at_layout.extend(
+                pid for pid in broken_pids if shm._pid_alive(pid)
+            )
+            return layout(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_lease_pool", recording_lease)
+        monkeypatch.setattr(symbolic, "chunk_output_layout", checked_layout)
+        with faults.inject(kill_chunk=1, delay_chunk=0, delay_s=0.2):
+            res = spkadd(mats, method="hash", threads=2, executor="shm",
+                         materialize=materialize)
+        assert broken_pids, "the injected kill did not break the pool"
+        assert alive_at_layout == []
+        assert [p for p in broken_pids if shm._pid_alive(p)] == []
+        assert res.matrix.is_shm_backed is not materialize
+        assert_bit_identical(res.matrix, base.matrix, "stale writer")
+        del res
+        gc.collect()
+        assert list_live_segments() == seg_before
 
     def test_env_fault_plan_fresh_per_call(self, mats, monkeypatch):
         base = baseline_result(mats)
@@ -541,6 +598,28 @@ class TestTeardownRace:
                 deadline=Deadline(), label="shm compute",
             )
 
+    def test_close_terminates_workers_the_manager_missed(self):
+        """CPython 3.11's manager thread can miss a worker whose spawn
+        raced its teardown and then join it forever; closing a broken
+        pool must terminate every worker the pool still lists."""
+        missed = multiprocessing.get_context("spawn").Process(
+            target=time.sleep, args=(60,)
+        )
+        missed.start()
+
+        class Missed(_TornDownPool):
+            _processes = {missed.pid: missed}
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                missed.join(timeout=10)  # the manager thread's join
+
+        try:
+            PoolRegistry().discard(Missed(), wait=True)
+            assert not missed.is_alive()
+        finally:
+            missed.kill()
+            missed.join()
+
     def test_registry_closes_broken_pool_quietly(self):
         spawn = multiprocessing.get_context("spawn")
         with PoolRegistry() as registry:
@@ -572,7 +651,7 @@ class TestChaosSoak:
         seg_before = list_live_segments()
         plans = [
             dict(kill_chunk=0),
-            dict(scatter_raise=1),
+            dict(kill_chunk=1, delay_chunk=0, delay_s=0.2),
             dict(delay_chunk=1, delay_s=0.01),
             dict(kill_chunk=3, delay_chunk=0, delay_s=0.01),
         ]

@@ -31,6 +31,7 @@ from repro.parallel.shm import (
     SegmentRegistry,
     SharedMemoryPool,
     list_live_segments,
+    shm_parallel_run,
 )
 from tests.conftest import (
     assert_bit_identical,
@@ -198,20 +199,64 @@ class TestConformance:
                 assert_bit_identical(ref.matrix, got.matrix)
         assert run(cancel, "shm").matrix.nnz == a.nnz  # zeros kept
 
+    @staticmethod
+    def sparse_columns_collection(seed=43):
+        """Entries only in columns 0-3 and 12-13 of 20: the weighted
+        split gives the trailing columns an all-empty chunk range."""
+        rng = np.random.default_rng(seed)
+        return [
+            CSCMatrix.from_arrays(
+                (90, 20), rng.integers(0, 90, 60),
+                rng.choice([0, 1, 2, 3, 12, 13], 60), rng.normal(size=60),
+            )
+            for _ in range(4)
+        ]
+
+    #: inputs of the shm engine's in-place compaction: each chunk writes
+    #: into a slot sized by its input nnz and moves down to its exact
+    #: offset after the wave.
+    COMPACTION_CASES = {
+        "random": lambda: random_collection(41, 210, 15, 5),
+        # m=128 and many draws per column: chunk 0 outputs fewer entries
+        # than its input nnz, so every later chunk moves.
+        "high_cf": lambda: random_collection(42, 128, 12, 8, 700, 900),
+        "empty_chunk_range": sparse_columns_collection,
+        "all_empty": lambda: [CSCMatrix.zeros((50, 9))] * 3,
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMPACTION_CASES))
     @pytest.mark.parametrize("backend", ["fast", "instrumented"])
-    def test_zero_copy_equals_materialized(self, backend):
+    def test_zero_copy_equals_materialized(self, backend, case):
         """ISSUE-5 acceptance: shm zero-copy results are bit-identical
-        to materialized ones (and to the thread pool) on both kernel
-        backends."""
-        mats = random_collection(41, 210, 15, 5)
+        to materialized ones (and to serial and the thread pool) on both
+        kernel backends, and hold exactly ``nnz`` entries, not the
+        upper bound their segment was sized by."""
+        mats = self.COMPACTION_CASES[case]()
         zc = run(mats, "shm", backend=backend)
         mz = run(mats, "shm", backend=backend, materialize=True)
         assert zc.matrix.buffer_owner is not None
         assert mz.matrix.buffer_owner is None
+        nnz = int(zc.matrix.indptr[-1])
+        assert zc.matrix.indices.size == zc.matrix.data.size == nnz
         assert_bit_identical(zc.matrix, mz.matrix, f"{backend}/materialize")
-        assert_bit_identical(
-            zc.matrix, run(mats, "thread", backend=backend).matrix, backend
-        )
+        for executor in ("serial", "thread"):
+            assert_bit_identical(
+                zc.matrix, run(mats, executor, backend=backend).matrix,
+                f"{backend}/{case}/{executor}",
+            )
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_engine_ranges_in_any_order(self, materialize):
+        """The engine takes chunk ranges in any order; compaction still
+        moves every chunk to its exact offset."""
+        mats = self.COMPACTION_CASES["high_cf"]()
+        ref = run(mats, "serial").matrix
+        for ranges in ([(8, 12), (4, 8), (0, 4)], [(4, 8), (0, 4), (8, 12)]):
+            out, _ = shm_parallel_run(
+                mats, "hash", ranges, sorted_output=True, kwargs={},
+                threads=2, materialize=materialize,
+            )
+            assert_bit_identical(out, ref, str(ranges))
 
 
 class TestShmLifecycle:
@@ -262,7 +307,7 @@ class TestShmLifecycle:
         with SegmentRegistry() as reg:
             specs = reg.publish([np.arange(10), np.ones(3)])
             assert len(list_live_segments()) == len(before) + 1
-            assert np.array_equal(reg.read_out(specs[0]), np.arange(10))
+            assert np.array_equal(reg.view(specs[0]), np.arange(10))
         assert list_live_segments() == before
 
     def test_spawn_start_method(self):
