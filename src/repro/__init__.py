@@ -18,7 +18,7 @@ Subpackages
 ``repro.formats``      CSC/CSR/COO sparse storage (built from scratch)
 ``repro.generators``   ER, R-MAT, protein-surrogate and workload generators
 ``repro.core``         the SpKAdd algorithms (Algorithms 1-8 + extensions)
-``repro.kernels``      accumulation backends (instrumented probing / fast sort-reduce)
+``repro.kernels``      accumulation backends (instrumented probing / fast compiled kernel)
 ``repro.parallel``     column-parallel execution and scheduling
 ``repro.machine``      machine specs, cache simulation, calibrated cost model
 ``repro.distributed``  simulated sparse SUMMA SpGEMM (the paper's application)
@@ -32,7 +32,7 @@ from repro.core.api import SpKAddResult, available_methods, spkadd
 from repro.core.stats import KernelStats
 from repro.distributed import ExecutionPlan, summa_spgemm
 from repro.formats import CSCMatrix, CSRMatrix, COOMatrix
-from repro.kernels import available_backends, get_backend
+from repro.kernels import available_backends
 from repro.parallel.executor import submit_spkadd
 from repro.parallel.pools import shutdown_pools
 from repro.parallel.resilience import (
@@ -58,7 +58,6 @@ __all__ = [
     "SpKAddResult",
     "available_methods",
     "available_backends",
-    "get_backend",
     "spkadd",
     "submit_spkadd",
     "ExecutionPlan",

@@ -65,7 +65,7 @@ _TWO_PHASE = {"hash", "hash_unsorted", "sliding_hash", "sliding_hash_unsorted"}
 BACKEND_AWARE_METHODS = frozenset({"hash", "sliding_hash"})
 
 #: the facade's default engine: production callers who never read the
-#: slot-level statistics get the fast sort/reduce path automatically;
+#: slot-level statistics get the fused fast kernel automatically;
 #: paper reproductions pass ``backend="instrumented"`` (or call the
 #: kernel functions directly, whose default is instrumented).
 DEFAULT_FACADE_BACKEND = "fast"
@@ -241,7 +241,7 @@ def spkadd(
             backend,
             default=DEFAULT_FACADE_BACKEND,
             need_trace=kwargs.get("trace_sink") is not None,
-        ).name
+        )
     elif backend not in (None, "auto"):
         raise ValueError(
             f"method {method!r} does not take a backend (hash-family only)"

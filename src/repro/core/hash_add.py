@@ -6,27 +6,30 @@ entry costs O(1) expected hash-table work and inputs/outputs are
 streamed exactly once.  It tolerates unsorted inputs and produces
 unsorted output unless a final sort is requested (Algorithm 5 line 15).
 
-Two phases, as in the paper (Section II-D):
+Each entry point resolves its ``backend`` name once
+(:func:`repro.kernels.resolve_backend`) and runs one of two engines:
 
-1. **Symbolic** (:func:`hash_symbolic`, Algorithm 6): count
-   ``nnz(B(:,j))`` per output column using an index-only table (4-byte
-   entries) sized by the summed input nnz.
-2. **Addition** (:func:`spkadd_hash`, Algorithm 5): accumulate values in
-   a (row, value) table (8-byte entries) sized by the symbolic counts.
+* ``"instrumented"`` runs the paper's two phases (Section II-D) on the
+  vectorized linear-probing table of :mod:`repro.core.hashtable`, which
+  records slot-visit/probe counts plus the table-size-bucketed
+  random-access histogram the cache model consumes:
 
-Both phases dispatch their accumulation through a pluggable backend
-(:mod:`repro.kernels`).  The default ``instrumented`` backend is the
-vectorized linear-probing engine in :mod:`repro.core.hashtable` and
-records slot-visit/probe counts plus the table-size-bucketed
-random-access histogram the cache model consumes.  The ``fast`` backend
-— when no symbolic counts or traces are requested — fuses both phases
-into a single pass (:func:`_spkadd_fast_fused`): the output sizes fall
-out of the addition, so the symbolic table is pure overhead.  That pass
-runs the compiled per-column hash kernel of
-:mod:`repro.kernels.native` (Algorithm 5 in C: one table per column,
-then a radix sort of its distinct rows) when a C compiler is present,
-and a NumPy block loop (gather, composite keys, sort/segmented reduce,
-assemble) otherwise; both emit the same bytes.
+  1. **Symbolic** (:func:`hash_symbolic`, Algorithm 6): count
+     ``nnz(B(:,j))`` per output column using an index-only table
+     (4-byte entries) sized by the summed input nnz.
+  2. **Addition** (:func:`spkadd_hash`, Algorithm 5): accumulate values
+     in a (row, value) table (8-byte entries) sized by the symbolic
+     counts.
+
+* ``"fast"`` fuses both phases into a single pass
+  (:func:`_spkadd_fast_fused`): the output sizes fall out of the
+  addition, so the symbolic table is pure overhead.  That pass runs the
+  compiled per-column hash kernel of :mod:`repro.kernels.native`
+  (Algorithm 5 in C: one table per column, then a radix sort of its
+  distinct rows) when a C compiler is present, and a NumPy block loop
+  (gather, composite keys, sort/segmented reduce, assemble) otherwise;
+  both emit the same bytes.  The fast ``hash_symbolic`` and the sliding
+  variants of :mod:`repro.core.sliding_hash` run the same pass.
 """
 
 from __future__ import annotations
@@ -44,8 +47,10 @@ from repro.core.blocks import (
     iter_col_blocks,
     split_keys,
 )
+from repro.core.hashtable import hash_accumulate, resolve_value_dtype
 from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
+from repro.formats.compressed import resolve_index_dtype
 from repro.formats.csc import CSCMatrix
 from repro.util.checks import (
     check_nonempty,
@@ -63,10 +68,12 @@ ADD_ENTRY_BYTES = 8
 TraceItem = Tuple[int, int, np.ndarray]
 
 
-def _resolve(backend, need_trace):
+def _is_fast(backend: Optional[str], trace_sink) -> bool:
+    """Resolve ``backend`` (a trace request forces ``"instrumented"``)
+    and say whether it names the fused fast kernel."""
     from repro.kernels import resolve_backend
 
-    return resolve_backend(backend, need_trace=need_trace)
+    return resolve_backend(backend, need_trace=trace_sink is not None) == "fast"
 
 
 def hash_symbolic(
@@ -88,13 +95,14 @@ def hash_symbolic(
     """
     check_nonempty(mats)
     m, n = check_same_shape(mats)
-    eng = _resolve(backend, trace_sink is not None)
     st = stats if stats is not None else KernelStats()
     st.algorithm = st.algorithm or "hash_symbolic"
+    if _is_fast(backend, trace_sink):
+        return _fast_symbolic(mats, st, block_cols, index_dtype)
     st.k = len(mats)
     st.n_cols = n
-    value_dtype = eng.result_value_dtype(mats)
-    idx_dtype = eng.result_index_dtype(mats, index_dtype)
+    value_dtype = resolve_value_dtype(mats)
+    idx_dtype = resolve_index_dtype(mats, index_dtype)
     bc = block_cols or choose_block_cols(mats)
     scratch = BlockScratch()
     out = np.zeros(n, dtype=np.int64)
@@ -108,29 +116,21 @@ def hash_symbolic(
             continue
         keys = composite_keys(cols, rows, m, width=j1 - j0)
         tsize = table_size_for(rows.size)
-        if eng.provides_stats or trace_sink is not None:
-            res = eng.accumulate(
-                keys,
-                # Dummy values: this is the symbolic pass — only the
-                # distinct-key count survives, the sums are discarded.
-                np.zeros(rows.size, dtype=np.float64),  # repro-lint: disable=L003
-                tsize,
-                capture_trace=trace_sink is not None,
-            )
-            if trace_sink is not None:
-                trace_sink.append((tsize, SYMBOLIC_ENTRY_BYTES, res.trace))
-            okeys = res.keys
-            st.ops += res.slot_ops
-            st.probes += res.probes
-            st.add_table_traffic(tsize * SYMBOLIC_ENTRY_BYTES, res.slot_ops)
-            st.ds_bytes_peak = max(
-                st.ds_bytes_peak, tsize * SYMBOLIC_ENTRY_BYTES
-            )
-        else:
-            # Stat-less backends need only the distinct keys; skip the
-            # zero-weight value accumulation.
-            okeys = np.unique(keys)
-        ocols = okeys // np.int64(m)
+        res = hash_accumulate(
+            keys,
+            # Dummy values: this is the symbolic pass — only the
+            # distinct-key count survives, the sums are discarded.
+            np.zeros(rows.size, dtype=np.float64),  # repro-lint: disable=L003
+            tsize,
+            capture_trace=trace_sink is not None,
+        )
+        if trace_sink is not None:
+            trace_sink.append((tsize, SYMBOLIC_ENTRY_BYTES, res.trace))
+        st.ops += res.slot_ops
+        st.probes += res.probes
+        st.add_table_traffic(tsize * SYMBOLIC_ENTRY_BYTES, res.slot_ops)
+        st.ds_bytes_peak = max(st.ds_bytes_peak, tsize * SYMBOLIC_ENTRY_BYTES)
+        ocols = res.keys // np.int64(m)
         out[j0:j1] = np.bincount(ocols, minlength=j1 - j0)
         st.input_nnz += int(rows.size)
         st.bytes_read += rows.size * ENTRY_BYTES
@@ -139,6 +139,24 @@ def hash_symbolic(
     st.output_nnz = int(out.sum())
     st.col_ops = col_in.astype(np.float64)
     return out
+
+
+def _fast_symbolic(
+    mats: Sequence[CSCMatrix],
+    st: KernelStats,
+    block_cols: Optional[int],
+    index_dtype,
+) -> np.ndarray:
+    """The symbolic phase on the fast backend: the fused pass, whose
+    per-column output counts land in ``st`` and are returned."""
+    _spkadd_fast_fused(
+        mats,
+        block_cols=block_cols,
+        st=KernelStats(k=len(mats)),
+        stats_symbolic=st,
+        index_dtype=index_dtype,
+    )
+    return st.col_out_nnz.copy()
 
 
 def _spkadd_fast_fused(
@@ -160,7 +178,7 @@ def _spkadd_fast_fused(
     populated two-phase result.  Output columns are sorted even under
     ``sorted_output=False`` (sortedness is free here).
     """
-    from repro.kernels import native, resolve_index_dtype, resolve_value_dtype
+    from repro.kernels import native
 
     shape = check_same_shape(mats)
     n = shape[1]
@@ -256,28 +274,28 @@ def spkadd_hash(
     col_out_nnz:
         Pre-computed symbolic counts; when omitted the symbolic phase
         (Algorithm 6) runs first and its stats land in
-        ``stats_symbolic``.
+        ``stats_symbolic``.  The fused ``"fast"`` pass has no symbolic
+        phase and does not read them.
     backend:
         Accumulation engine name (see :mod:`repro.kernels`); ``None``
         consults ``REPRO_BACKEND`` and defaults to ``"instrumented"``.
-        The ``"fast"`` backend additionally fuses away the symbolic
-        phase when neither ``col_out_nnz`` nor ``trace_sink`` is given.
+        ``"fast"`` runs the fused single pass and emits sorted columns
+        whatever ``sorted_output`` says.
     index_dtype:
         Width of the emitted ``indices``/``indptr`` (and of the gather
         buffers).  ``None`` resolves the paper's rule — int32 whenever
         the dimensions and the summed input nnz fit — via
-        :meth:`~repro.kernels.Backend.result_index_dtype`; an explicit
-        int32 that cannot hold the call transparently promotes.
+        :func:`repro.kernels.resolve_index_dtype`; an explicit int32
+        that cannot hold the call transparently promotes.
     """
     check_nonempty(mats)
     shape = check_same_shape(mats)
     m, n = shape
-    eng = _resolve(backend, trace_sink is not None)
     st = stats if stats is not None else KernelStats()
     st.algorithm = st.algorithm or ("hash" if sorted_output else "hash_unsorted")
     st.k = len(mats)
     st.n_cols = n
-    if not eng.provides_stats and trace_sink is None and col_out_nnz is None:
+    if _is_fast(backend, trace_sink):
         return _spkadd_fast_fused(
             mats,
             block_cols=block_cols,
@@ -289,11 +307,11 @@ def spkadd_hash(
     if col_out_nnz is None:
         col_out_nnz = hash_symbolic(
             mats, block_cols=block_cols, stats=stats_symbolic,
-            trace_sink=trace_sink, backend=eng.name,
+            trace_sink=trace_sink, backend="instrumented",
             index_dtype=index_dtype,
         )
-    value_dtype = eng.result_value_dtype(mats)
-    idx_dtype = eng.result_index_dtype(mats, index_dtype)
+    value_dtype = resolve_value_dtype(mats)
+    idx_dtype = resolve_index_dtype(mats, index_dtype)
     bc = block_cols or choose_block_cols(mats)
     scratch = BlockScratch()
     blocks = []
@@ -308,15 +326,12 @@ def spkadd_hash(
         keys = composite_keys(cols, rows, m, width=j1 - j0)
         onz_block = int(col_out_nnz[j0:j1].sum())
         tsize = table_size_for(onz_block)
-        res = eng.accumulate(
+        res = hash_accumulate(
             keys, vals, tsize, capture_trace=trace_sink is not None
         )
         if trace_sink is not None:
             trace_sink.append((tsize, ADD_ENTRY_BYTES, res.trace))
-        if not eng.provides_stats:
-            # Fast-backend output is already fully key-sorted.
-            okeys, ovals = res.keys, res.vals
-        elif sorted_output:
+        if sorted_output:
             order = np.argsort(res.keys)
             okeys, ovals = res.keys[order], res.vals[order]
         else:
@@ -331,15 +346,12 @@ def spkadd_hash(
         st.output_nnz += int(okeys.size)
         st.bytes_read += rows.size * ENTRY_BYTES
         st.bytes_written += okeys.size * ENTRY_BYTES
-        if eng.provides_stats:
-            st.add_table_traffic(tsize * ADD_ENTRY_BYTES, res.slot_ops)
-            st.ds_bytes_peak = max(st.ds_bytes_peak, tsize * ADD_ENTRY_BYTES)
+        st.add_table_traffic(tsize * ADD_ENTRY_BYTES, res.slot_ops)
+        st.ds_bytes_peak = max(st.ds_bytes_peak, tsize * ADD_ENTRY_BYTES)
     st.col_in_nnz = col_in
     st.col_out_nnz = np.asarray(col_out_nnz, dtype=np.int64).copy()
     st.col_ops = col_in.astype(np.float64)
-    # A stat-less backend emits sorted columns whether or not they were
-    # asked for (sortedness is free in sort/reduce).
     return assemble_from_block_outputs(
-        shape, blocks, sorted=sorted_output or not eng.provides_stats,
+        shape, blocks, sorted=sorted_output,
         value_dtype=value_dtype, index_dtype=idx_dtype,
     )

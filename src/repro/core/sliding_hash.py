@@ -11,6 +11,13 @@ its own in-cache table, and per-range outputs concatenate in row order.
 
 ``table_entries`` can be forced directly, which is how the Fig-4 sweep
 (runtime vs hash-table size) is generated.
+
+The row partitions exist only on the ``instrumented`` backend, whose
+probing table is what the cache budget bounds.  On ``fast`` both entry
+points run the fused single pass of :mod:`repro.core.hash_add` (the
+compiled kernel, or its NumPy fallback), which gives the same bytes
+because every slot sums in the same matrix-major order; they still
+report the ``parts`` count the budget implies.
 """
 
 from __future__ import annotations
@@ -33,9 +40,14 @@ from repro.core.hash_add import (
     ADD_ENTRY_BYTES,
     SYMBOLIC_ENTRY_BYTES,
     TraceItem,
+    _fast_symbolic,
+    _is_fast,
+    _spkadd_fast_fused,
 )
+from repro.core.hashtable import hash_accumulate, resolve_value_dtype
 from repro.core.pairwise import ENTRY_BYTES
 from repro.core.stats import KernelStats
+from repro.formats.compressed import resolve_index_dtype
 from repro.formats.csc import CSCMatrix
 from repro.parallel.partition import row_partition_bounds
 from repro.util.checks import (
@@ -67,6 +79,25 @@ def sliding_parts(
     return max(int(ceil(expected_entries * entry_bytes * threads / cache_bytes)), 1)
 
 
+def _budget_parts(
+    col_nnz: np.ndarray,
+    entry_bytes: int,
+    threads: int,
+    cache_bytes: Optional[int],
+    table_entries: Optional[int],
+) -> int:
+    """The partition count the instrumented engine settles on: the
+    budget's count for the heaviest column (``sliding_parts`` never
+    decreases in its entry count)."""
+    return sliding_parts(
+        float(col_nnz.max(initial=0)),
+        entry_bytes,
+        threads=threads,
+        cache_bytes=cache_bytes,
+        table_entries=table_entries,
+    )
+
+
 def _run_partitioned(
     mats: Sequence[CSCMatrix],
     *,
@@ -79,24 +110,18 @@ def _run_partitioned(
     col_out_nnz: Optional[np.ndarray],
     sorted_output: bool,
     trace_sink: Optional[List[TraceItem]],
-    backend: Optional[str] = None,
     index_dtype=None,
 ):
-    """Shared engine for Algorithms 7 and 8.
+    """Shared instrumented engine for Algorithms 7 and 8.
 
     For each column block, decide the partition count from the phase's
     expected entry count (input nnz for symbolic, output nnz for add),
-    route entries to row ranges, and run the accumulation backend per
-    range with an in-cache table.  The partitioning/routing structure is
-    backend-independent, so the ``fast`` backend still reports the
-    paper's ``parts`` count even though its reduction never spills.
+    route entries to row ranges, and run the probing table per range
+    with an in-cache table.
     """
-    from repro.kernels import resolve_backend
-
-    eng = resolve_backend(backend, need_trace=trace_sink is not None)
     m, n = check_same_shape(mats)
-    value_dtype = eng.result_value_dtype(mats)
-    idx_dtype = eng.result_index_dtype(mats, index_dtype)
+    value_dtype = resolve_value_dtype(mats)
+    idx_dtype = resolve_index_dtype(mats, index_dtype)
     entry_bytes = SYMBOLIC_ENTRY_BYTES if phase == "symbolic" else ADD_ENTRY_BYTES
     bc = block_cols or choose_block_cols(mats)
     scratch = BlockScratch()
@@ -123,8 +148,7 @@ def _run_partitioned(
             table_entries=table_entries,
         )
         max_parts = max(max_parts, parts)
-        if eng.provides_stats:
-            st.ops += 0 if parts == 1 else rows.size  # routing pass (Alg 7/8 line 9)
+        st.ops += 0 if parts == 1 else rows.size  # routing pass (Alg 7/8 line 9)
         bounds = row_partition_bounds(m, parts)
         part_id = (
             np.zeros(rows.size, dtype=np.int64)
@@ -152,11 +176,7 @@ def _run_partitioned(
                     tsize = table_size_for(n_keys)
             else:
                 tsize = table_size_for(n_keys)
-            if not eng.provides_stats and phase == "symbolic":
-                # Stat-less symbolic pass only needs the distinct keys.
-                out_k.append(np.unique(keys_all[lo:hi]))
-                continue
-            res = eng.accumulate(
+            res = hash_accumulate(
                 keys_all[lo:hi],
                 vals_all[lo:hi],
                 tsize,
@@ -168,9 +188,8 @@ def _run_partitioned(
             out_v.append(res.vals)
             st.ops += res.slot_ops
             st.probes += res.probes
-            if eng.provides_stats:
-                st.add_table_traffic(tsize * entry_bytes, res.slot_ops)
-                st.ds_bytes_peak = max(st.ds_bytes_peak, tsize * entry_bytes)
+            st.add_table_traffic(tsize * entry_bytes, res.slot_ops)
+            st.ds_bytes_peak = max(st.ds_bytes_peak, tsize * entry_bytes)
         okeys = np.concatenate(out_k) if out_k else np.empty(0, dtype=np.int64)
         ovals = np.concatenate(out_v) if out_v else np.empty(0, dtype=value_dtype)
         ocols_all = okeys // np.int64(m)
@@ -221,6 +240,13 @@ def sliding_hash_symbolic(
     check_nonempty(mats)
     st = stats if stats is not None else KernelStats()
     st.algorithm = st.algorithm or "sliding_hash_symbolic"
+    if _is_fast(backend, trace_sink):
+        out = _fast_symbolic(mats, st, block_cols, index_dtype)
+        st.parts = _budget_parts(
+            st.col_in_nnz, SYMBOLIC_ENTRY_BYTES,
+            threads, cache_bytes, table_entries,
+        )
+        return out
     st.k = len(mats)
     st.n_cols = mats[0].shape[1]
     return _run_partitioned(
@@ -234,7 +260,6 @@ def sliding_hash_symbolic(
         col_out_nnz=None,
         sorted_output=True,
         trace_sink=trace_sink,
-        backend=backend,
         index_dtype=index_dtype,
     )
 
@@ -261,12 +286,37 @@ def spkadd_sliding_hash(
     benefits *more* from sliding than the addition phase when the
     compression factor is large (its tables are cf x bigger).
 
-    ``backend`` selects the accumulation engine (:mod:`repro.kernels`);
-    both phases run on the same backend.  ``index_dtype`` pins the
-    emitted index width (default: the paper's int32-when-it-fits rule).
+    ``backend`` selects the accumulation engine (:mod:`repro.kernels`):
+    ``"instrumented"`` runs both phases on row-partitioned probing
+    tables, ``"fast"`` runs the fused single pass (sorted output, no
+    ``col_out_nnz`` needed).  ``index_dtype`` pins the emitted index
+    width (default: the paper's int32-when-it-fits rule).
     """
     check_nonempty(mats)
     check_row_bounds(mats)
+    st = stats if stats is not None else KernelStats()
+    st.algorithm = st.algorithm or "sliding_hash"
+    st.k = len(mats)
+    st.n_cols = mats[0].shape[1]
+    if _is_fast(backend, trace_sink):
+        if stats_symbolic is not None:
+            stats_symbolic.algorithm = (
+                stats_symbolic.algorithm or "sliding_hash_symbolic"
+            )
+        out = _spkadd_fast_fused(
+            mats,
+            block_cols=block_cols,
+            st=st,
+            stats_symbolic=stats_symbolic,
+            index_dtype=index_dtype,
+        )
+        budget = (threads, cache_bytes, table_entries)
+        st.parts = _budget_parts(st.col_out_nnz, ADD_ENTRY_BYTES, *budget)
+        if stats_symbolic is not None:
+            stats_symbolic.parts = _budget_parts(
+                st.col_in_nnz, SYMBOLIC_ENTRY_BYTES, *budget
+            )
+        return out
     if col_out_nnz is None:
         col_out_nnz = sliding_hash_symbolic(
             mats,
@@ -276,13 +326,9 @@ def spkadd_sliding_hash(
             block_cols=block_cols,
             stats=stats_symbolic,
             trace_sink=trace_sink,
-            backend=backend,
+            backend="instrumented",
             index_dtype=index_dtype,
         )
-    st = stats if stats is not None else KernelStats()
-    st.algorithm = st.algorithm or "sliding_hash"
-    st.k = len(mats)
-    st.n_cols = mats[0].shape[1]
     return _run_partitioned(
         mats,
         phase="add",
@@ -294,6 +340,5 @@ def spkadd_sliding_hash(
         col_out_nnz=np.asarray(col_out_nnz, dtype=np.int64),
         sorted_output=sorted_output,
         trace_sink=trace_sink,
-        backend=backend,
         index_dtype=index_dtype,
     )

@@ -11,36 +11,23 @@ with a k-way kernel, and fold batch results with a running 2-way add.
 (e.g. the graph-accumulation workload of the intro): feed matrices as
 they arrive, read the running sum at any time.
 
-Both entry points fold batches with the hash kernel routed through the
-kernel registry: ``backend=`` selects the accumulation engine and
-defaults (like the :func:`repro.spkadd` facade) to ``"fast"`` after the
-``REPRO_BACKEND`` environment override — streaming callers never read
-slot-level statistics, so they get the sort/reduce engine automatically.
+Both entry points fold batches with the hash kernel: ``backend=``
+selects the accumulation engine and defaults (like the
+:func:`repro.spkadd` facade) to ``"fast"`` after the ``REPRO_BACKEND``
+environment override — streaming callers never read slot-level
+statistics, so they get the fused fast kernel automatically.
 Pass ``kernel=`` to substitute a different folding kernel entirely.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable, Iterator, List, Optional
 
 from repro.core.hash_add import spkadd_hash
 from repro.core.pairwise import add_pair
 from repro.core.stats import KernelStats
 from repro.formats.csc import CSCMatrix
-
-
-def _registry_kernel(backend: Optional[str]) -> Callable[..., CSCMatrix]:
-    """Hash-kernel closure pinned to a registry-resolved backend."""
-    from repro.core.api import DEFAULT_FACADE_BACKEND
-    from repro.kernels import resolve_backend
-
-    name = resolve_backend(backend, default=DEFAULT_FACADE_BACKEND).name
-
-    def kern(ms, **kw):
-        kw.setdefault("backend", name)
-        return spkadd_hash(ms, **kw)
-
-    return kern
 
 
 def _resolve_kernel(
@@ -53,7 +40,14 @@ def _resolve_kernel(
                 "kernel owns its own accumulation engine"
             )
         return kernel
-    return _registry_kernel(backend)
+    from repro.core.api import DEFAULT_FACADE_BACKEND
+    from repro.kernels import resolve_backend
+
+    # The hash kernel pinned to the resolved backend name.
+    return functools.partial(
+        spkadd_hash,
+        backend=resolve_backend(backend, default=DEFAULT_FACADE_BACKEND),
+    )
 
 
 def _batches(it: Iterable[CSCMatrix], size: int) -> Iterator[List[CSCMatrix]]:

@@ -57,8 +57,8 @@ from repro.formats.compressed import (
     resolve_index_dtype,
 )
 from repro.formats.csc import CSCMatrix
-from repro.kernels import native, resolve_backend, resolve_value_dtype
-from repro.kernels.fast import sort_reduce
+from repro.core.hashtable import hash_accumulate
+from repro.kernels import fast, native, resolve_backend, resolve_value_dtype
 from repro.util.checks import check_product_rows
 from repro.util.hashing import table_size_for
 
@@ -195,8 +195,8 @@ def local_spgemm(
             sorted=True,
             check=False,
         )
-    eng = resolve_backend(backend) if accumulator == "hash" else None
-    if eng is not None and not eng.provides_stats:
+    engine = resolve_backend(backend) if accumulator == "hash" else None
+    if engine == "fast":
         out = native.spgemm_columns(A, B, vdt, idt, sorted_output, flops)
         if out is not None:
             indptr, indices, data = out
@@ -208,35 +208,30 @@ def local_spgemm(
     cols, rows, vals = _expand(A, B, t, lens, vdt)
     keys = composite_keys(cols, rows, ma, width=nb)
     out_sorted = sorted_output
-    if eng is not None:
-        if eng.provides_stats:
-            # Symbolic sizing: distinct keys upper-bounded by the
-            # expansion (the paper's rule, same as SpKAdd's two-phase
-            # scheme).
-            tsize = table_size_for(int(np.unique(keys).size))
-            res = eng.accumulate(keys, vals, tsize)
-            st.hash_ops += res.slot_ops
-            st.probes += res.probes
-            st.table_traffic[tsize * 8] = (
-                st.table_traffic.get(tsize * 8, 0.0) + res.slot_ops
-            )
-            okeys, ovals = res.keys, res.vals
-            if sorted_output:
-                order = np.argsort(okeys)
-                st.sort_entries += int(okeys.size)
-            else:
-                order = np.argsort(okeys // np.int64(ma), kind="stable")
-            okeys, ovals = okeys[order], ovals[order]
+    if engine == "instrumented":
+        # Symbolic sizing: distinct keys upper-bounded by the expansion
+        # (the paper's rule, same as SpKAdd's two-phase scheme).
+        tsize = table_size_for(int(np.unique(keys).size))
+        res = hash_accumulate(keys, vals, tsize)
+        st.hash_ops += res.slot_ops
+        st.probes += res.probes
+        st.table_traffic[tsize * 8] = (
+            st.table_traffic.get(tsize * 8, 0.0) + res.slot_ops
+        )
+        okeys, ovals = res.keys, res.vals
+        if sorted_output:
+            order = np.argsort(okeys)
+            st.sort_entries += int(okeys.size)
         else:
-            # The fast backend without the kernel: one sort/reduce
-            # pass; the output comes back key-sorted for free, so no
-            # sort is performed or charged.
-            res = eng.accumulate(keys, vals)
-            okeys, ovals = res.keys, res.vals
-            out_sorted = True
-    else:  # accumulator == "sort"
-        okeys, ovals = sort_reduce(keys, vals)
-        st.sort_entries += int(keys.size)
+            order = np.argsort(okeys // np.int64(ma), kind="stable")
+        okeys, ovals = okeys[order], ovals[order]
+    else:
+        # accumulator="sort", or the fast backend without the kernel:
+        # one sort/reduce pass, whose output comes back key-sorted.
+        # Only the sort accumulator is charged for the sort.
+        okeys, ovals = fast.sort_reduce(keys, vals)
+        if engine is None:
+            st.sort_entries += int(keys.size)
         out_sorted = True
     ocols, orows = split_keys(okeys, ma)
     st.out_nnz += int(okeys.size)

@@ -138,9 +138,9 @@ class ExecutionPlan:
                 f"got {self.executor!r}"
             )
         if self.backend not in (None, "auto"):
-            from repro.kernels import get_backend
+            from repro.kernels import resolve_backend
 
-            get_backend(self.backend)  # raises ValueError, naming it
+            resolve_backend(self.backend)  # raises ValueError, naming it
 
     @classmethod
     def paper(cls) -> "ExecutionPlan":

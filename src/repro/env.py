@@ -187,8 +187,8 @@ KNOBS: Dict[str, Knob] = {
             description=(
                 "Default kernel backend ('instrumented' or 'fast') when "
                 "no backend= argument is given; validated by "
-                "kernels.registry.resolve_backend with its registry of "
-                "available backends."
+                "kernels.registry.resolve_backend against its tuple of "
+                "backend names."
             ),
         ),
         Knob(

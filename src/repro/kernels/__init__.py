@@ -1,18 +1,25 @@
 """Accumulation backends for the hash-family SpKAdd kernels.
 
+A backend is a name, resolved once per entry point by
+:func:`resolve_backend`:
+
 ========================  ====================================================
 backend                   engine
 ========================  ====================================================
-``instrumented``          paper-faithful linear-probing hash table; source of
-                          truth for slot-op/probe/cache-trace statistics
+``instrumented``          the paper's two-phase loop on the linear-probing
+                          table of :mod:`repro.core.hashtable`; source of
+                          truth for slot-op/probe/cache-trace statistics;
+                          ``sliding_hash`` slides its table over row
+                          partitions (Algorithms 7/8)
 ``fast``                  the compiled per-column hash kernel
                           (:mod:`repro.kernels.native`, paper Algorithm 5)
-                          for the fused SpKAdd, which replays a cached
-                          plan when a call repeats an index pattern, and
-                          a column-wise Gustavson kernel on the same
-                          table for the local SpGEMM;
-                          NumPy sort + segmented reduce without a C
-                          compiler and for bare ``accumulate`` calls;
+                          for every hash-family call — ``hash``,
+                          ``sliding_hash`` and both symbolic phases — which
+                          replays a cached plan when a call repeats an
+                          index pattern, and a column-wise Gustavson kernel
+                          on the same table for the local SpGEMM;
+                          NumPy sort + segmented reduce
+                          (:func:`sort_reduce`) without a C compiler;
                           bit-identical matrices, no stats,
                           order-of-magnitude faster
 ========================  ====================================================
@@ -23,25 +30,18 @@ argument > ``REPRO_BACKEND`` env var > caller default).
 
 from repro.core.hashtable import resolve_value_dtype
 from repro.formats.compressed import resolve_index_dtype
-from repro.kernels.base import Backend
-from repro.kernels.fast import FastBackend, sort_reduce
-from repro.kernels.instrumented import InstrumentedBackend
+from repro.kernels.fast import sort_reduce
 from repro.kernels.registry import (
     BACKEND_ENV_VAR,
+    BACKENDS,
     available_backends,
-    get_backend,
-    register_backend,
     resolve_backend,
 )
 
 __all__ = [
-    "Backend",
-    "FastBackend",
-    "InstrumentedBackend",
     "BACKEND_ENV_VAR",
+    "BACKENDS",
     "available_backends",
-    "get_backend",
-    "register_backend",
     "resolve_backend",
     "resolve_index_dtype",
     "resolve_value_dtype",

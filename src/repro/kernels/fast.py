@@ -1,33 +1,34 @@
-"""Fast backend: sort + segmented reduce, no hash table at all.
+"""Sort + segmented reduce: the fast backend's no-compiler accumulator.
 
 The accumulation a hash table performs — summing values that share a
 key — is exactly a segmented reduction over the key-sorted order.  NumPy
 executes that as three vectorized passes (stable argsort, boundary
-detection, ``np.add.reduceat``) with no Python-level probing rounds,
+detection, an in-order scatter-add) with no Python-level probing rounds,
 which is an order of magnitude faster than the instrumented engine at
 typical block sizes.
 
 Numerical equivalence is exact, not approximate: the instrumented table
 accumulates duplicates of a key in gathered-array order (first
 occurrence inserts, later occurrences add left to right), and a *stable*
-sort followed by ``reduceat`` reduces each segment in that same order,
+sort followed by an in-order scatter-add reduces each key in that order,
 so the sums are bit-identical floats.
 
-What this backend cannot do is meter the paper's quantities: there are
-no slots, so ``slot_ops``/``probes`` are reported as zero and trace
-capture is unsupported.  Use the ``instrumented`` backend for any run
-whose statistics feed the cost model or the cache simulator.
+The fused SpKAdd (:func:`repro.core.hash_add._spkadd_fast_fused`) and
+the local SpGEMM reduce through :func:`sort_reduce` when the compiled
+kernel of :mod:`repro.kernels.native` is unavailable, and the SpGEMM's
+``accumulator="sort"`` always does.  There are no slots, so nothing
+here meters the paper's quantities; use the ``instrumented`` backend
+for any run whose statistics feed the cost model or the cache
+simulator.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.core.hashtable import HashAccumResult, accum_dtype
-from repro.kernels.base import Backend
-from repro.util.hashing import table_size_for
+from repro.core.hashtable import accum_dtype
 
 
 def sort_reduce(
@@ -102,35 +103,3 @@ def _restore_negative_zeros(
         keeps_plus[slot[~((add == 0) & np.signbit(add))]] = True
         out[zero & ~keeps_plus] = -0.0
 
-
-class FastBackend(Backend):
-    """Sort/segmented-reduce accumulator (production default)."""
-
-    name = "fast"
-    provides_stats = False
-    supports_trace = False
-
-    def accumulate(
-        self,
-        keys: np.ndarray,
-        vals: np.ndarray,
-        table_size: Optional[int] = None,
-        *,
-        capture_trace: bool = False,
-    ) -> HashAccumResult:
-        if capture_trace:
-            raise ValueError(
-                "the 'fast' backend has no hash table to trace; use "
-                "backend='instrumented' for cache simulation"
-            )
-        out_keys, out_vals = sort_reduce(keys, vals)
-        if table_size is None:
-            table_size = table_size_for(len(out_keys))
-        return HashAccumResult(
-            keys=out_keys,
-            vals=out_vals,
-            table_size=table_size,
-            slot_ops=0,
-            probes=0,
-            trace=None,
-        )

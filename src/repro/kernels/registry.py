@@ -1,6 +1,5 @@
-"""Backend registry and resolution rules.
-
-Resolution order for the hash-family kernels:
+"""Backend names (see :mod:`repro.kernels`) and their resolution rules,
+which each hash-family entry point applies once.  Resolution order:
 
 1. an explicit ``backend="..."`` argument;
 2. the ``REPRO_BACKEND`` environment variable;
@@ -10,50 +9,28 @@ Resolution order for the hash-family kernels:
    (production callers who never read slot-level stats get the fast
    engine automatically).
 
-A request that requires trace capture always lands on a backend with
-``supports_trace``; asking for traces from an explicitly-selected
-non-tracing backend is an error rather than a silent downgrade.
+A request that requires trace capture always lands on
+``"instrumented"``, the only engine with slots to trace; asking for
+traces from an explicit ``"fast"`` is an error rather than a silent
+downgrade.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro import env
-from repro.kernels.base import Backend
-from repro.kernels.fast import FastBackend
-from repro.kernels.instrumented import InstrumentedBackend
 
 #: environment variable overriding the default backend choice.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
 
-_BACKENDS: Dict[str, Backend] = {}
-
-
-def register_backend(backend: Backend) -> None:
-    """Add ``backend`` to the registry under ``backend.name``."""
-    if not backend.name:
-        raise ValueError("backend must have a non-empty name")
-    _BACKENDS[backend.name] = backend
+#: every backend name, sorted.
+BACKENDS: Tuple[str, ...] = ("fast", "instrumented")
 
 
 def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))
-
-
-def get_backend(name: str) -> Backend:
-    """Look up a backend by name.
-
-    >>> get_backend("fast").name
-    'fast'
-    """
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; choose from {available_backends()}"
-        ) from None
+    """Backend names, sorted."""
+    return BACKENDS
 
 
 def resolve_backend(
@@ -61,27 +38,28 @@ def resolve_backend(
     *,
     default: str = "instrumented",
     need_trace: bool = False,
-) -> Backend:
-    """Apply the resolution rules above and return a :class:`Backend`.
+) -> str:
+    """Apply the resolution rules above and return a backend name.
 
     ``name=None`` or ``name="auto"`` consults ``REPRO_BACKEND`` then
     ``default``.  ``need_trace=True`` (a ``trace_sink`` was passed)
-    forces a tracing-capable backend when the choice was implicit, and
-    raises when an explicit choice cannot trace.
+    forces ``"instrumented"`` when the choice was implicit, and raises
+    when an explicit choice cannot trace.
+
+    >>> resolve_backend("fast")
+    'fast'
     """
-    explicit = name is not None and name != "auto"
-    if not explicit:
-        name = env.get(BACKEND_ENV_VAR) or default
-    backend = get_backend(name)
-    if need_trace and not backend.supports_trace:
+    explicit = name not in (None, "auto")
+    chosen = name if explicit else env.get(BACKEND_ENV_VAR) or default
+    if chosen not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {chosen!r}; choose from {BACKENDS}"
+        )
+    if need_trace and chosen != "instrumented":
         if explicit:
             raise ValueError(
-                f"backend {backend.name!r} cannot capture slot traces; "
+                f"backend {chosen!r} cannot capture slot traces; "
                 "use backend='instrumented'"
             )
-        backend = get_backend("instrumented")
-    return backend
-
-
-register_backend(InstrumentedBackend())
-register_backend(FastBackend())
+        return "instrumented"
+    return str(chosen)

@@ -16,8 +16,11 @@ Lifecycle guarantees:
 
 * **Reuse** — :func:`get_pool` returns the same executor for the same
   key until it is discarded, so repeated calls pay the pool spawn once.
-* **Health** — a pool observed broken (a worker died) is discarded when
-  the lease that saw it ends, and :meth:`PoolRegistry.get` also drops
+* **Health** — a pool observed broken (a worker died), or one whose
+  lease ended on :class:`~repro.parallel.resilience.DeadlineExceeded`
+  with chunks still running, is discarded when that lease ends (the
+  abandoned chunks' workers are terminated first), and
+  :meth:`PoolRegistry.get` also drops
   any pool that is already marked broken, so the next call always
   receives a working pool instead of a poisoned one.  Closing a broken
   pool never raises: CPython 3.11 can report the dead pool's half-closed
@@ -37,6 +40,8 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
+from repro.parallel.resilience import DeadlineExceeded
+
 #: registry key: (worker count, multiprocessing start method).
 PoolKey = Tuple[int, str]
 
@@ -53,7 +58,11 @@ def pool_is_broken(pool: ProcessPoolExecutor) -> bool:
 
 
 def _close(
-    pool: ProcessPoolExecutor, *, wait: bool = False, cancel_futures: bool
+    pool: ProcessPoolExecutor,
+    *,
+    wait: bool = False,
+    cancel_futures: bool,
+    terminate: bool = False,
 ) -> None:
     """Shut ``pool`` down, absorbing the ``OSError`` a broken pool's
     teardown can raise.
@@ -67,15 +76,19 @@ def _close(
     A broken pool's workers are terminated first: the manager thread
     misses a worker whose spawn a concurrent ``submit`` had under way and
     then joins it forever (hanging a ``wait=True`` close, or exit).
+    ``terminate=True`` does the same to a healthy pool whose running
+    work nobody waits for any more, which the close would otherwise
+    wait out.
     """
-    if pool_is_broken(pool):
+    kill = terminate or pool_is_broken(pool)
+    if kill:
         for proc in list((getattr(pool, "_processes", None) or {}).values()):
             if proc.exitcode is None:
                 proc.terminate()
     try:
         pool.shutdown(wait=wait, cancel_futures=cancel_futures)
     except OSError:
-        if not pool_is_broken(pool):
+        if not kill:
             raise
 
 
@@ -139,18 +152,26 @@ class PoolRegistry:
         clean one, and closed with ``wait=True``, so none of its workers
         still writes into the caller's shared segments once the lease
         ends (the shm engine compacts its output in place after a wave).
+        A lease left by :class:`~repro.parallel.resilience.DeadlineExceeded`
+        stopped waiting on chunks that are still running; their workers
+        are terminated and the pool is discarded the same way, so later
+        calls (and interpreter exit) do not queue behind them.
         """
         pool = self._acquire(
             threads, mp_context, leased=True, deadline=deadline
         )
+        abandoned = False
         try:
             yield pool
+        except DeadlineExceeded:
+            abandoned = True
+            raise
         finally:
             # If shutdown() arrived mid-call the releasing lease closes
             # the doomed pool now that the call is over.
             self._release_lease(pool)
-            if pool_is_broken(pool):
-                self.discard(pool, wait=True)
+            if abandoned or pool_is_broken(pool):
+                self.discard(pool, wait=True, terminate=abandoned)
 
     def _acquire(
         self, threads, mp_context, *, leased: bool, deadline=None
@@ -234,7 +255,13 @@ class PoolRegistry:
         if to_close is not None:
             _close(to_close, cancel_futures=False)
 
-    def discard(self, pool: ProcessPoolExecutor, *, wait: bool = False) -> None:
+    def discard(
+        self,
+        pool: ProcessPoolExecutor,
+        *,
+        wait: bool = False,
+        terminate: bool = False,
+    ) -> None:
         """Drop ``pool`` from the registry and shut it down.
 
         Used for pools observed broken; the next :meth:`get` for the
@@ -244,17 +271,23 @@ class PoolRegistry:
         healthy pool, it is only unregistered here and closed by the
         releasing lease — a healthy concurrent call is never cancelled
         from under its caller.  A broken pool serves no caller, so it
-        is closed at once.
+        is closed at once, and so is a pool discarded with
+        ``terminate=True``, whose workers are killed first (a
+        concurrent call sees a broken pool and retries its chunks).
         """
         with self._lock:
             for key, p in list(self._pools.items()):
                 if p is pool:
                     del self._pools[key]
-            if self._leases.get(pool, 0) and not pool_is_broken(pool):
+            if (
+                self._leases.get(pool, 0)
+                and not terminate
+                and not pool_is_broken(pool)
+            ):
                 self._doomed.add(pool)
                 return
             self._doomed.discard(pool)
-        _close(pool, wait=wait, cancel_futures=True)
+        _close(pool, wait=wait, cancel_futures=True, terminate=terminate)
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Release every registered pool.

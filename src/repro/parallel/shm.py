@@ -831,13 +831,14 @@ class SharedMemoryPool:
 
 def _native_library(method: str, kwargs: dict) -> Optional[str]:
     """Path of the compiled SpKAdd kernel for a call whose chunks run
-    the fast fused hash (resolved here, in the parent, so workers only
-    load it); ``None`` for every other call."""
+    the fast fused hash, ``hash`` or ``sliding_hash`` (resolved here, in
+    the parent, so workers only load it); ``None`` for every other
+    call."""
     from repro.kernels import native, resolve_backend
 
-    if method not in ("hash", "hash_unsorted"):
+    if method not in ("hash", "sliding_hash"):
         return None
-    if resolve_backend(kwargs.get("backend")).name != "fast":
+    if resolve_backend(kwargs.get("backend")) != "fast":
         return None
     return native.library_path()
 

@@ -21,7 +21,6 @@ from repro.generators import erdos_renyi_collection, rmat_collection
 from repro.kernels import (
     BACKEND_ENV_VAR,
     available_backends,
-    get_backend,
     resolve_backend,
     sort_reduce,
 )
@@ -52,36 +51,38 @@ def assert_bit_identical(a, b, context=""):
 
 class TestRegistry:
     def test_available(self):
-        assert set(available_backends()) >= {"fast", "instrumented"}
+        assert available_backends() == ("fast", "instrumented")
 
-    def test_unknown_backend(self):
+    def test_unknown_backend(self, monkeypatch):
         with pytest.raises(ValueError, match="unknown backend"):
-            get_backend("quantum")
+            resolve_backend("quantum")
+        monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")
+        with pytest.raises(ValueError, match="unknown backend"):
+            resolve_backend(None)
 
     def test_resolution_defaults(self):
-        assert resolve_backend(None).name == "instrumented"
-        assert resolve_backend(None, default="fast").name == "fast"
-        assert resolve_backend("fast").name == "fast"
-        assert resolve_backend("auto", default="fast").name == "fast"
+        assert resolve_backend(None) == "instrumented"
+        assert resolve_backend(None, default="fast") == "fast"
+        assert resolve_backend("fast") == "fast"
+        assert resolve_backend("auto", default="fast") == "fast"
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
-        assert resolve_backend(None).name == "fast"
+        assert resolve_backend(None) == "fast"
         # explicit argument beats the environment
-        assert resolve_backend("instrumented").name == "instrumented"
+        assert resolve_backend("instrumented") == "instrumented"
+        # an implicit choice that cannot trace falls back, silently
+        assert resolve_backend(None, need_trace=True) == "instrumented"
 
     def test_trace_forces_instrumented(self):
-        assert resolve_backend(None, need_trace=True).name == "instrumented"
+        assert resolve_backend(None, need_trace=True) == "instrumented"
         with pytest.raises(ValueError, match="trace"):
             resolve_backend("fast", need_trace=True)
 
-    def test_fast_rejects_trace_capture(self):
-        fb = get_backend("fast")
+    @pytest.mark.parametrize("kernel", [spkadd_hash, spkadd_sliding_hash])
+    def test_fast_rejects_trace_capture(self, kernel, small_collection):
         with pytest.raises(ValueError, match="trace"):
-            fb.accumulate(
-                np.array([1], dtype=np.int64), np.array([1.0]),
-                capture_trace=True,
-            )
+            kernel(small_collection, backend="fast", trace_sink=[])
 
     def test_facade_rejects_backend_for_non_hash(self, small_collection):
         with pytest.raises(ValueError, match="backend"):

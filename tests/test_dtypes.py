@@ -19,7 +19,7 @@ from repro.formats.convert import from_scipy, to_scipy
 from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels import get_backend, resolve_value_dtype
+from repro.kernels import resolve_value_dtype
 
 #: 2**53 is where float64 stops representing every integer; values above
 #: it detect any float64 round-trip bit-exactly.
@@ -72,13 +72,6 @@ class TestResolveValueDtype:
     def test_rejects_non_numeric(self):
         with pytest.raises(TypeError):
             resolve_value_dtype((), np.dtype("datetime64[s]"))
-
-    def test_exposed_on_backends(self):
-        mats = int_collection(3, np.int32)
-        for name in ("fast", "instrumented"):
-            eng = get_backend(name)
-            assert eng.result_value_dtype(mats) == np.int64
-            assert eng.result_value_dtype(mats, np.float32) == np.float32
 
 
 class TestFormatPreservation:

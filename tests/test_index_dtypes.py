@@ -32,7 +32,6 @@ from repro.formats.convert import from_scipy, to_scipy
 from repro.formats.coo import COOMatrix
 from repro.formats.csc import CSCMatrix
 from repro.formats.csr import CSRMatrix
-from repro.kernels import get_backend
 from tests.conftest import assert_bit_identical
 
 EXECUTORS = ("serial", "thread", "shm")
@@ -109,13 +108,6 @@ class TestResolveIndexDtype:
         assert resolve_index_dtype(mats) == np.int32
         # the guard applies to the env pin too
         assert resolve_index_dtype((), nnz=2**31) == np.int64
-
-    def test_exposed_on_backends(self):
-        mats = index_collection([np.int64, np.int32])
-        for name in ("fast", "instrumented"):
-            eng = get_backend(name)
-            assert eng.result_index_dtype(mats) == resolve_index_dtype(mats)
-            assert eng.result_index_dtype(mats, "int64") == np.int64
 
     def test_min_index_dtype(self):
         assert min_index_dtype(0) == np.int32

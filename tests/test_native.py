@@ -106,20 +106,33 @@ FLOAT_POOL = [
 ]
 
 
+def float_pool_collection(dtype):
+    """Seven 6x40 addends of 120 entries each, values drawn from
+    :data:`FLOAT_POOL`, with many duplicate (row, column) pairs."""
+    rng = np.random.default_rng(5)
+    columns = [
+        [
+            (int(rng.integers(0, 6)), int(rng.integers(0, 40)),
+             FLOAT_POOL[int(rng.integers(0, len(FLOAT_POOL)))])
+            for _ in range(120)
+        ]
+        for _ in range(7)
+    ]
+    return column_collection(columns, 6, dtype)
+
+
+def assert_same_bytes(a, b, label):
+    for name in ("indptr", "indices", "data"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, f"{label}: {name} dtype"
+        assert x.tobytes() == y.tobytes(), f"{label}: {name} bytes"
+
+
 class TestValueConformance:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_adversarial_float_pool(self, monkeypatch, dtype):
-        rng = np.random.default_rng(5)
-        columns = [
-            [
-                (int(rng.integers(0, 6)), int(rng.integers(0, 40)),
-                 FLOAT_POOL[int(rng.integers(0, len(FLOAT_POOL)))])
-                for _ in range(120)
-            ]
-            for _ in range(7)
-        ]
         with np.errstate(over="ignore", invalid="ignore"):
-            mats = column_collection(columns, 6, dtype)
+            mats = float_pool_collection(dtype)
             check_conformance(monkeypatch, mats, str(dtype))
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -195,6 +208,39 @@ def test_property_adversarial_values(monkeypatch, mats, data, dtype):
             for A in mats
         ]
         check_conformance(monkeypatch, adversarial)
+
+
+@pytest.mark.usefixtures("native_mode")
+class TestAdversarialExecutors:
+    """The adversarial float pool through the parallel executors: each
+    chunk's sums, and the layout that joins them, must not change a
+    byte of the serial fast result."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("method", ["hash", "sliding_hash"])
+    @pytest.mark.parametrize("executor", ["thread", "shm"])
+    def test_parallel_matches_serial(self, dtype, method, executor):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = float_pool_collection(dtype)
+            serial = spkadd(mats, method=method, backend="fast")
+            par = spkadd(
+                mats, method=method, backend="fast", threads=2,
+                executor=executor,
+            )
+        assert_same_bytes(
+            par.matrix, serial.matrix, f"{executor}/{method}/{dtype}"
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sliding_matches_hash(self, dtype):
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = float_pool_collection(dtype)
+            hashed = spkadd(mats, method="hash", backend="fast")
+            slid = spkadd(
+                mats, method="sliding_hash", backend="fast",
+                table_entries=16,
+            )
+        assert_same_bytes(slid.matrix, hashed.matrix, str(dtype))
 
 
 class TestStructuralConformance:

@@ -37,7 +37,7 @@ import pytest
 from repro.core.api import spkadd
 from repro.parallel import executor as executor_mod
 from repro.parallel import faults
-from repro.parallel.pools import PoolRegistry, pool_is_broken
+from repro.parallel.pools import PoolRegistry, active_pools, pool_is_broken
 from repro.parallel.resilience import (
     DEADLINE_ENV_VAR,
     FALLBACK_ENV_VAR,
@@ -358,6 +358,7 @@ class TestDeadline:
         # Warm pools first so the measured window is the wait, not a boot.
         spkadd(mats, method="hash", threads=2, executor=executor,
                materialize=True)
+        warm_pools = {id(p) for (t, _), p in active_pools().items() if t == 2}
         seg_before = list_live_segments()
         t0 = time.monotonic()
         with pytest.raises(DeadlineExceeded):
@@ -366,6 +367,21 @@ class TestDeadline:
                        deadline=0.5, materialize=True)
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"deadline held {elapsed:.2f}s (2x bound)"
+        gc.collect()
+        assert list_live_segments() == seg_before
+        # The abandoned chunk's worker must not hold up later calls or
+        # exit: its shm pool is discarded, so the next call gets a fresh
+        # one instead of queueing behind the rest of the 3 s delay.
+        if executor == "shm":
+            assert not {id(p) for p in active_pools().values()} & warm_pools
+        t0 = time.monotonic()
+        res = spkadd(mats, method="hash", threads=2, executor=executor,
+                     materialize=True)
+        elapsed = time.monotonic() - t0
+        assert elapsed < 1.0, f"follow-up call took {elapsed:.2f}s"
+        assert_bit_identical(res.matrix, baseline_result(mats).matrix,
+                             "after deadline")
+        del res
         gc.collect()
         assert list_live_segments() == seg_before
 

@@ -64,9 +64,11 @@ def test_fuse_split_bit_identical_to_serial():
         assert_bit_identical(got, repro.spkadd(req.mats).matrix, "fused")
 
 
-def test_split_recasts_to_solo_index_width():
+def test_split_recasts_to_solo_index_width(monkeypatch):
     """A request pinned to int64 must come back int64 even when the
     fused call resolves int32."""
+    # An ambient int64 pin would widen the fused call too.
+    monkeypatch.delenv("REPRO_INDEX_DTYPE", raising=False)
     reqs = [_Req(random_collection(seed=1, m=64, n=8, k=2)),
             _Req(random_collection(seed=2, m=64, n=8, k=2),
                  index_dtype="int64")]
