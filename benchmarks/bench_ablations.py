@@ -45,7 +45,9 @@ def test_ablation_scheduling(benchmark, rmat_mats):
 
     def measure():
         st = KernelStats()
-        spkadd_hash(rmat_mats, stats=st, block_cols=1)
+        spkadd_hash(
+            rmat_mats, stats=st, block_cols=1, backend="instrumented"
+        )
         costs = st.col_ops
         return (
             simulate_parallel_time(costs, 16, policy="static"),
@@ -79,7 +81,9 @@ def test_ablation_hash_multiplier(benchmark, prime):
 def test_ablation_sorted_output(benchmark, er_mats, sorted_output):
     benchmark.group = "ablation-sorted"
     out = benchmark(
-        lambda: spkadd_hash(er_mats, sorted_output=sorted_output)
+        lambda: spkadd_hash(
+            er_mats, sorted_output=sorted_output, backend="instrumented"
+        )
     )
     assert out.sorted == sorted_output
 

@@ -50,22 +50,11 @@ def _cmd_demo(args) -> int:
     executor = resolve_executor(args.executor)
     value_dtype = None if args.value_dtype == "auto" else args.value_dtype
     index_dtype = None if args.index_dtype == "auto" else args.index_dtype
-    # argparse default False -> None keeps the REPRO_SHM_RESULTS pin live.
-    materialize = True if args.materialize else None
-    if executor == "shm":
-        # Resolve (and so validate) the placement only when it applies:
-        # a bad REPRO_SHM_RESULTS must not break non-shm runs.
-        from repro.parallel.shm import resolve_shm_results
-
-        placement = resolve_shm_results(materialize)
-    else:
-        placement = "n/a"
     print(f"{args.pattern.upper()} workload: k={args.k}, "
           f"{args.m}x{args.n}, d={args.d} "
           f"[backend={args.backend}, executor={executor}, "
           f"threads={args.threads}, value_dtype={args.value_dtype}, "
-          f"index_dtype={args.index_dtype}, "
-          f"materialize={placement}]")
+          f"index_dtype={args.index_dtype}]")
     from repro.core.api import BACKEND_AWARE_METHODS
 
     resilience = None
@@ -91,7 +80,6 @@ def _cmd_demo(args) -> int:
             executor=executor,
             value_dtype=value_dtype,
             index_dtype=index_dtype,
-            materialize=materialize,
             deadline=args.deadline,
             resilience=resilience,
             backend=args.backend if method in BACKEND_AWARE_METHODS else None,
@@ -294,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("--backend", choices=["auto", "fast", "instrumented"],
                    default="auto",
                    help="accumulation engine for hash-family methods "
-                        "(auto = REPRO_BACKEND env var, then 'fast')")
+                        "(auto = 'fast')")
     d.add_argument("--executor",
                    choices=["auto", "thread", "shm", "serial"],
                    default="auto",
@@ -323,11 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="value dtype override for the sum (auto = preserve "
                         "the inputs' dtype; integer requests accumulate in "
                         "exact 64-bit integers)")
-    d.add_argument("--materialize", action="store_true",
-                   help="copy shm-executor results out of shared memory "
-                        "into private arrays (default: zero-copy "
-                        "segment-backed results that unlink on gc; "
-                        "REPRO_SHM_RESULTS pins the session default)")
     d.add_argument("--index-dtype", choices=["auto", "int32", "int64"],
                    default="auto",
                    help="index width override for the output (auto = the "

@@ -57,18 +57,12 @@ class SpKAddResult:
         return total_in / max(self.matrix.nnz, 1)
 
 
-_TWO_PHASE = {"hash", "hash_unsorted", "sliding_hash", "sliding_hash_unsorted"}
-
-#: methods that accept a ``backend=`` accumulation-engine kwarg — the
-#: single source of truth; the executor, CLI, SUMMA driver and
-#: benchmarks all import this set.
+#: the hash-family methods: the ones that accept a ``backend=``
+#: accumulation-engine kwarg and the ones that run a symbolic phase
+#: (so report ``stats_symbolic``).  The single source of truth; the
+#: executor, shm engine, CLI, SUMMA driver and benchmarks all import
+#: this set.
 BACKEND_AWARE_METHODS = frozenset({"hash", "sliding_hash"})
-
-#: the facade's default engine: production callers who never read the
-#: slot-level statistics get the fused fast kernel automatically;
-#: paper reproductions pass ``backend="instrumented"`` (or call the
-#: kernel functions directly, whose default is instrumented).
-DEFAULT_FACADE_BACKEND = "fast"
 
 
 def _run_hash(mats, *, sorted_output, **kw):
@@ -112,7 +106,6 @@ def spkadd(
     executor: Optional[str] = None,
     value_dtype=None,
     index_dtype=None,
-    materialize: Optional[bool] = None,
     deadline=None,
     resilience=None,
     **kwargs,
@@ -148,12 +141,10 @@ def spkadd(
         hash kernel (NumPy sort/segmented-reduce without a C compiler),
         bit-identical matrices, no slot-level stats — or
         ``"instrumented"`` — the paper-faithful probing hash table whose
-        stats feed the cost model.  ``None`` consults the
-        ``REPRO_BACKEND`` environment variable and then defaults to
-        ``"fast"``: production callers who don't ask for paper
-        statistics get the fast engine automatically.  Non-hash methods
-        have no accumulation engine and reject an explicit ``backend``
-        with ``ValueError``.
+        stats feed the cost model.  ``None`` (or ``"auto"``) is
+        ``"fast"``; paper code that reads slot-level stats names
+        ``"instrumented"``.  Non-hash methods have no accumulation
+        engine and reject an explicit ``backend`` with ``ValueError``.
     executor:
         ``"thread"`` (shared-memory pool; NumPy kernels release the GIL),
         ``"shm"`` (worker processes that sidestep the GIL entirely, fed
@@ -166,7 +157,11 @@ def spkadd(
         ``threads > 1``.  The shm engine draws persistent workers from
         the pool registry (:mod:`repro.parallel.pools`), so repeated
         calls reuse warm workers; ``repro.shutdown_pools()`` releases
-        them.
+        them.  shm results are **zero-copy**: the output
+        ``indices``/``data`` are views into the engine's shared segment,
+        kept alive by ``result.matrix.buffer_owner`` and unlinked when
+        the last view is garbage-collected; ``result.matrix.materialize()``
+        returns a private copy.
     value_dtype:
         Optional override of the value dtype the sum is computed (and
         returned) in.  ``None`` preserves the inputs: the output dtype
@@ -190,18 +185,6 @@ def spkadd(
         that cannot hold the call's bounds transparently promotes to
         int64 (indices never wrap); the resolved width is identical
         across every method, backend, and executor.
-    materialize:
-        Result placement for the shared-memory executor.  ``None`` (the
-        default) consults the ``REPRO_SHM_RESULTS`` environment variable
-        and then returns **zero-copy** results: the output
-        ``indices``/``data`` are views into the engine's shared segment,
-        kept alive by ``result.matrix.buffer_owner`` — the segment
-        unlinks itself when the last view is garbage-collected, so huge
-        outputs skip the final copy out of shared memory.  ``True``
-        copies the result into private memory before the segment is
-        unlinked (the pre-zero-copy contract; ``matrix.materialize()``
-        converts after the fact).  Ignored by the serial path and the
-        thread executor, whose results are always private.
     deadline:
         Per-call time budget in seconds (parallel calls only).  Expiry
         raises :class:`~repro.parallel.resilience.DeadlineExceeded`,
@@ -238,9 +221,7 @@ def spkadd(
         from repro.kernels import resolve_backend
 
         kwargs["backend"] = resolve_backend(
-            backend,
-            default=DEFAULT_FACADE_BACKEND,
-            need_trace=kwargs.get("trace_sink") is not None,
+            backend, need_trace=kwargs.get("trace_sink") is not None
         )
     elif backend not in (None, "auto"):
         raise ValueError(
@@ -254,8 +235,7 @@ def spkadd(
         return parallel_spkadd(
             mats, method, threads=threads, sorted_output=sorted_output,
             executor=executor, index_dtype=index_dtype,
-            materialize=materialize, deadline=deadline,
-            resilience=resilience, **kwargs
+            deadline=deadline, resilience=resilience, **kwargs
         )
     if method == "sliding_hash" and "cache_bytes" in kwargs:
         kwargs.setdefault("threads", threads)
@@ -265,7 +245,7 @@ def spkadd(
         kwargs.setdefault("index_dtype", index_dtype)
     st = KernelStats()
     runner = _REGISTRY[method]
-    if method in _TWO_PHASE:
+    if method in BACKEND_AWARE_METHODS:
         out, st, st_sym = runner(
             mats, sorted_output=sorted_output, stats=st, **kwargs
         )

@@ -7,7 +7,9 @@ streamed exactly once.  It tolerates unsorted inputs and produces
 unsorted output unless a final sort is requested (Algorithm 5 line 15).
 
 Each entry point resolves its ``backend`` name once
-(:func:`repro.kernels.resolve_backend`) and runs one of two engines:
+(:func:`repro.kernels.resolve_backend`; ``"fast"`` unless the caller
+names ``"instrumented"`` or passes a ``trace_sink``) and runs one of
+two engines:
 
 * ``"instrumented"`` runs the paper's two phases (Section II-D) on the
   vectorized linear-probing table of :mod:`repro.core.hashtable`, which
@@ -278,9 +280,10 @@ def spkadd_hash(
         phase and does not read them.
     backend:
         Accumulation engine name (see :mod:`repro.kernels`); ``None``
-        consults ``REPRO_BACKEND`` and defaults to ``"instrumented"``.
-        ``"fast"`` runs the fused single pass and emits sorted columns
-        whatever ``sorted_output`` says.
+        is ``"fast"``, the fused single pass, which emits sorted
+        columns whatever ``sorted_output`` says and records no
+        slot-level stats.  ``"instrumented"`` runs the paper's two
+        phases on the probing table.
     index_dtype:
         Width of the emitted ``indices``/``indptr`` (and of the gather
         buffers).  ``None`` resolves the paper's rule — int32 whenever

@@ -21,7 +21,7 @@ which the cache simulator replays to count misses (Table V).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -218,94 +218,3 @@ def hash_accumulate(
         probes=probes,
         trace=trace,
     )
-
-
-def hash_count_distinct(
-    keys: np.ndarray,
-    table_size: Optional[int] = None,
-    *,
-    prime: int = HASH_PRIME,
-    capture_trace: bool = False,
-) -> Tuple[int, int, int, Optional[np.ndarray]]:
-    """Symbolic-phase insertion (Algorithm 6): count distinct keys.
-
-    Same probing semantics as :func:`hash_accumulate` but the table
-    stores indices only (4-byte entries in the paper's accounting) and no
-    values are accumulated.
-
-    Returns ``(distinct, slot_ops, probes, trace)``.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    if table_size is None:
-        table_size = table_size_for(len(keys))
-    res = hash_accumulate(
-        keys,
-        # Dummy values: the symbolic phase counts distinct keys and the
-        # accumulated values are discarded, so no resolved dtype applies.
-        np.zeros(keys.shape[0], dtype=np.float64),  # repro-lint: disable=L003
-        table_size,
-        prime=prime,
-        capture_trace=capture_trace,
-    )
-    return len(res.keys), res.slot_ops, res.probes, res.trace
-
-
-def segmented_hash_accumulate(
-    keys: np.ndarray,
-    vals: np.ndarray,
-    seg_starts: np.ndarray,
-    table_sizes: np.ndarray,
-    *,
-    prime: int = HASH_PRIME,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Accumulate consecutive key segments independently, in one batch.
-
-    Segment ``i`` is ``keys[seg_starts[i]:seg_starts[i+1]]``; duplicate
-    keys are summed *within* a segment only (the per-column semantics of
-    ``block_cols=1``).  All segments run in **one** batched
-    :func:`hash_accumulate` call: each segment's keys are offset-shifted
-    into a disjoint key range (``seg_id * stride + key``), inserted into
-    a single table sized for the whole batch, and the outputs are
-    regrouped by segment afterwards.
-
-    Consequences of batching (vs. the per-segment loop this replaced):
-    ``table_sizes`` only determines the segment count — the paper's
-    per-segment sizing rule is subsumed by the batch-level
-    ``table_size_for``; ``slot_ops``/``probes`` are aggregate counts for
-    the batched table, not a sum over per-segment tables; and each
-    segment's output comes back in the batched table's scan order.
-
-    Returns ``(out_keys, out_vals, out_seg_lengths, slot_ops, probes)``.
-    """
-    keys = np.asarray(keys, dtype=np.int64)
-    vals = np.asarray(vals)
-    n_seg = len(table_sizes)
-    seg_starts = np.asarray(seg_starts, dtype=np.int64)
-    lengths = np.zeros(n_seg, dtype=np.int64)
-    if n_seg:
-        keys = keys[seg_starts[0] : seg_starts[n_seg]]
-        vals = vals[seg_starts[0] : seg_starts[n_seg]]
-    if keys.size == 0 or n_seg == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=accum_dtype(vals.dtype)),
-            lengths,
-            0,
-            0,
-        )
-    seg_len = np.diff(seg_starts[: n_seg + 1])
-    seg_id = np.repeat(np.arange(n_seg, dtype=np.int64), seg_len)
-    stride = int(keys.max()) + 1
-    if n_seg * stride >= np.iinfo(np.int64).max:
-        raise OverflowError("segment key space does not fit in int64")
-    shifted = seg_id * np.int64(stride) + keys
-    res = hash_accumulate(
-        shifted, vals, table_size_for(keys.size), prime=prime
-    )
-    out_seg = res.keys // np.int64(stride)
-    # Group outputs by segment, preserving table order within a segment.
-    order = np.argsort(out_seg, kind="stable")
-    out_seg = out_seg[order]
-    out_keys = res.keys[order] - out_seg * np.int64(stride)
-    lengths += np.bincount(out_seg, minlength=n_seg)
-    return out_keys, res.vals[order], lengths, res.slot_ops, res.probes

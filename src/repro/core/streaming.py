@@ -12,10 +12,8 @@ with a k-way kernel, and fold batch results with a running 2-way add.
 they arrive, read the running sum at any time.
 
 Both entry points fold batches with the hash kernel: ``backend=``
-selects the accumulation engine and defaults (like the
-:func:`repro.spkadd` facade) to ``"fast"`` after the ``REPRO_BACKEND``
-environment override — streaming callers never read slot-level
-statistics, so they get the fused fast kernel automatically.
+selects the accumulation engine and defaults, like every hash-family
+entry point, to ``"fast"``, the fused kernel.
 Pass ``kernel=`` to substitute a different folding kernel entirely.
 """
 
@@ -40,14 +38,10 @@ def _resolve_kernel(
                 "kernel owns its own accumulation engine"
             )
         return kernel
-    from repro.core.api import DEFAULT_FACADE_BACKEND
     from repro.kernels import resolve_backend
 
     # The hash kernel pinned to the resolved backend name.
-    return functools.partial(
-        spkadd_hash,
-        backend=resolve_backend(backend, default=DEFAULT_FACADE_BACKEND),
-    )
+    return functools.partial(spkadd_hash, backend=resolve_backend(backend))
 
 
 def _batches(it: Iterable[CSCMatrix], size: int) -> Iterator[List[CSCMatrix]]:

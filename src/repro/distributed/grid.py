@@ -25,9 +25,9 @@ class ProcessGrid:
 
     def __post_init__(self) -> None:
         # Reject malformed grids loudly, naming the argument (the same
-        # convention as the executor's threads/chunks_per_thread
-        # validation): a zero or negative extent would silently produce
-        # an empty rank list and a vacuously "successful" SUMMA.
+        # convention as the executor's threads validation): a zero or
+        # negative extent would silently produce an empty rank list and
+        # a vacuously "successful" SUMMA.
         for name, value in (("rows", self.rows), ("cols", self.cols)):
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(

@@ -158,10 +158,9 @@ def local_spgemm(
     """Compute ``C = A @ B`` for local (in-process) sparse blocks.
 
     ``backend`` selects the engine for the ``"hash"`` accumulator
-    (``None`` consults ``REPRO_BACKEND`` and then defaults to
-    ``"instrumented"``, the paper-faithful engine whose statistics feed
-    the Fig 6 cost model; pass ``"fast"`` for the compiled column-wise
-    kernel — bit-identical values, no stats).
+    (``None`` is ``"fast"``, the compiled column-wise kernel —
+    bit-identical values, no stats; pass ``"instrumented"`` for the
+    paper-faithful engine whose statistics feed the Fig 6 cost model).
 
     ``sorted_output=False`` lets the hash engines leave each output
     column unsorted (table order on the instrumented engine,

@@ -81,8 +81,8 @@ class ExecutionPlan:
     ----------
     backend:
         Kernel backend for the local multiplies *and* the hash-family
-        merges (``"fast"`` / ``"instrumented"``).  ``None`` consults
-        ``REPRO_BACKEND`` and then defaults to ``"instrumented"`` — the
+        merges (``"fast"`` / ``"instrumented"``).  ``None`` is
+        ``"fast"``; :meth:`paper` names ``"instrumented"``, the
         paper-faithful engine whose statistics feed the timing model.
     executor:
         Merge-stage executor (``"serial"``/``"thread"``/``"shm"``;
@@ -106,9 +106,9 @@ class ExecutionPlan:
         :class:`~repro.parallel.resilience.ResiliencePolicy` for the
         merge calls (chunk retry, fallback chain); ``None`` resolves
         from the environment per call.
-    materialize:
-        Result placement for shm merges (see :func:`repro.spkadd`);
-        the default keeps zero-copy segment-backed blocks.
+
+    shm merges return zero-copy segment-backed blocks (see
+    :func:`repro.spkadd`).
     """
 
     backend: Optional[str] = None
@@ -118,7 +118,6 @@ class ExecutionPlan:
     overlap: bool = False
     deadline: Optional[object] = None
     resilience: Optional[object] = None
-    materialize: Optional[bool] = None
 
     def __post_init__(self) -> None:
         # PR 7 convention: malformed knobs are rejected loudly, naming
@@ -148,8 +147,8 @@ class ExecutionPlan:
 
         Figure reproduction (``experiments/fig6.py``) runs under this
         plan so its per-rank statistics — and therefore its modelled
-        phase times — are bit-stable regardless of ``REPRO_BACKEND`` /
-        ``REPRO_EXECUTOR`` in the environment.
+        phase times — are bit-stable regardless of ``REPRO_EXECUTOR``
+        in the environment.
         """
         return cls(backend="instrumented", threads=1,
                    rank_parallelism=1, overlap=False)
@@ -165,14 +164,12 @@ class ExecutionPlan:
         overlap: bool = True,
         deadline=None,
         resilience=None,
-        materialize: Optional[bool] = None,
     ) -> "ExecutionPlan":
         """The promoted defaults: fast kernels, shm merges, overlap on."""
         return cls(
             backend=backend, executor=executor, threads=threads,
             rank_parallelism=rank_parallelism, overlap=overlap,
             deadline=deadline, resilience=resilience,
-            materialize=materialize,
         )
 
 
@@ -309,8 +306,9 @@ def summa_spgemm(
         statistics.  Alternatively pass the loose keywords below (they
         build a plan; combining them with ``plan=`` is an error).
     backend, executor, threads, deadline, resilience:
-        Loose plan keywords: kernel backend for multiply + merge, merge
-        executor/fan-out, whole-run deadline, and resilience policy.
+        Loose plan keywords: kernel backend for multiply + merge
+        (default ``"fast"``), merge executor/fan-out, whole-run
+        deadline, and resilience policy.
         Naming a multiprocess ``executor=`` without ``threads=``
         defaults the merge fan-out to ``DEFAULT_MERGE_THREADS`` and
         turns on rank concurrency + overlap (the promoted path).
@@ -369,10 +367,9 @@ def summa_spgemm(
     # ---- merge-call construction ----------------------------------------
     merge_kw = dict(spkadd_kwargs or {})
     if spkadd_method in BACKEND_AWARE_METHODS:
-        # The simulation reports per-phase op totals, so hash-family
-        # merges default to the instrumented engine unless the plan (or
-        # spkadd_kwargs) picks one.
-        merge_kw.setdefault("backend", plan.backend or "instrumented")
+        # Hash-family merges run the plan's backend unless
+        # spkadd_kwargs picks one.
+        merge_kw.setdefault("backend", plan.backend)
 
     def _multiply(rec: RankRecord) -> List[CSCMatrix]:
         """Local-multiply stage: one rank's S Gustavson products."""
@@ -399,7 +396,7 @@ def summa_spgemm(
         return spkadd(
             pieces, method=spkadd_method, threads=plan.threads,
             executor=plan.executor, deadline=dl.remaining(),
-            resilience=plan.resilience, materialize=plan.materialize,
+            resilience=plan.resilience,
             **merge_kw,
         )
 
@@ -488,7 +485,7 @@ def _run_pipelined(
             return submit_spkadd(
                 pieces, method=spkadd_method, threads=plan.threads,
                 executor=plan.executor, deadline=dl.remaining(),
-                resilience=plan.resilience, materialize=plan.materialize,
+                resilience=plan.resilience,
                 **merge_kw,
             )
 

@@ -135,18 +135,6 @@ def _parse_faults(raw: str):
     return parse_plan(raw)
 
 
-def _parse_shm_results(raw: str) -> bool:
-    mode = raw.strip().lower().replace("_", "-")
-    if mode in ("zero-copy", "zerocopy"):
-        return False
-    if mode in ("materialize", "copy"):
-        return True
-    raise ValueError(
-        f"unknown shm result mode {raw!r} (from the REPRO_SHM_RESULTS "
-        "environment variable); choose 'zero-copy' or 'materialize'"
-    )
-
-
 def _parse_index_dtype(raw: str) -> Optional[str]:
     import numpy as np
 
@@ -179,18 +167,6 @@ def _parse_scale(name: str, raw: str) -> int:
 KNOBS: Dict[str, Knob] = {
     knob.name: knob
     for knob in (
-        Knob(
-            "REPRO_BACKEND",
-            parse=lambda raw: raw,
-            default=None,
-            value_type="str | None",
-            description=(
-                "Default kernel backend ('instrumented' or 'fast') when "
-                "no backend= argument is given; validated by "
-                "kernels.registry.resolve_backend against its tuple of "
-                "backend names."
-            ),
-        ),
         Knob(
             "REPRO_EXECUTOR",
             parse=lambda raw: raw,
@@ -264,17 +240,6 @@ KNOBS: Dict[str, Knob] = {
                 "Fault-injection directives (e.g. 'kill_chunk=0', "
                 "'delay_chunk=1:0.5'); parsed afresh per read so every "
                 "call of a chaos run gets fresh fault counters."
-            ),
-        ),
-        Knob(
-            "REPRO_SHM_RESULTS",
-            parse=_parse_shm_results,
-            default=False,
-            value_type="bool",
-            description=(
-                "shm-result mode: 'zero-copy' (default, False) or "
-                "'materialize' (True = copy results out of shared "
-                "memory). The parsed value is the materialize flag."
             ),
         ),
         Knob(

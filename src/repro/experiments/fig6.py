@@ -119,7 +119,7 @@ def run_fig6(
     for cfg_name, cfg in CONFIGS.items():
         # Pinned to the paper plan: serial, instrumented, no overlap —
         # the per-rank statistics feeding the timing model stay
-        # bit-stable no matter what REPRO_BACKEND/REPRO_EXECUTOR say.
+        # bit-stable no matter what REPRO_EXECUTOR says.
         res = summa_spgemm(
             A, A, grid=grid, stages=run["stages"],
             plan=ExecutionPlan.paper(),

@@ -24,22 +24,21 @@ backend                   engine
                           order-of-magnitude faster
 ========================  ====================================================
 
-See :mod:`repro.kernels.registry` for the resolution rules (explicit
-argument > ``REPRO_BACKEND`` env var > caller default).
+``fast`` is the default of every entry point; paper code that reads
+slot-level stats names ``instrumented``.  See
+:mod:`repro.kernels.registry` for the resolution rule.
 """
 
 from repro.core.hashtable import resolve_value_dtype
 from repro.formats.compressed import resolve_index_dtype
 from repro.kernels.fast import sort_reduce
 from repro.kernels.registry import (
-    BACKEND_ENV_VAR,
     BACKENDS,
     available_backends,
     resolve_backend,
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
     "BACKENDS",
     "available_backends",
     "resolve_backend",

@@ -58,12 +58,10 @@ from repro.parallel.pools import (
     shutdown_pools,
 )
 from repro.parallel.shm import (
-    SHM_RESULTS_ENV_VAR,
     SegmentRegistry,
     SharedArraySpec,
     SharedResultOwner,
     list_live_segments,
-    resolve_shm_results,
     sweep_orphans,
 )
 from repro.parallel.resilience import (
@@ -114,12 +112,10 @@ __all__ = [
     "get_pool",
     "lease_pool",
     "shutdown_pools",
-    "SHM_RESULTS_ENV_VAR",
     "SegmentRegistry",
     "SharedArraySpec",
     "SharedResultOwner",
     "list_live_segments",
-    "resolve_shm_results",
     "row_partition_bounds",
     "split_even",
     "split_weighted",

@@ -65,7 +65,10 @@ from repro.formats.csc import CSCMatrix
 from repro.parallel.partition import split_weighted
 from repro.parallel.scheduler import dynamic_schedule, static_schedule
 
-_TWO_PHASE = {"hash", "sliding_hash"}
+#: column chunks per worker: ``threads * CHUNKS_PER_THREAD`` chunks of
+#: near-equal input nnz give the dynamic balancing room to even out
+#: skewed columns.
+CHUNKS_PER_THREAD = 4
 
 #: environment variable overriding the default executor choice.
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
@@ -299,11 +302,11 @@ def _run_chunk(
 ) -> Tuple[int, CSCMatrix, KernelStats, Optional[KernelStats]]:
     """Execute one column chunk (every stage's kernel entry point; the
     shm workers call it on their attached views)."""
-    from repro.core.api import _REGISTRY
+    from repro.core.api import BACKEND_AWARE_METHODS, _REGISTRY
 
     runner = _REGISTRY[method]
     st = KernelStats()
-    if method in _TWO_PHASE:
+    if method in BACKEND_AWARE_METHODS:
         out, st, st_sym = runner(
             views, sorted_output=sorted_output, stats=st, **kwargs
         )
@@ -314,12 +317,15 @@ def _run_chunk(
 
 def _chunk(task):
     """A thread/serial stage task: apply the fault the plan shipped
-    with it, then run :func:`_run_chunk`."""
+    with it, then run :func:`_run_chunk` under the caller's floating-point
+    error state (``np.errstate`` is thread-local, so a pool thread would
+    otherwise warn where the serial call stays silent)."""
     from repro.parallel.faults import apply_chunk_fault
 
-    fault, method, j0, views, sorted_output, kwargs = task
+    fault, errstate, method, j0, views, sorted_output, kwargs = task
     apply_chunk_fault(fault)
-    return _run_chunk(method, j0, views, sorted_output, kwargs)
+    with np.errstate(**errstate):
+        return _run_chunk(method, j0, views, sorted_output, kwargs)
 
 
 #: set once the first executor fallback of the process has been
@@ -386,8 +392,7 @@ def _thread_pool(threads: int):
 
 
 def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
-                   threads, index_dtype, materialize, policy, deadline,
-                   plan):
+                   threads, index_dtype, policy, deadline, plan):
     """Run the call on one fallback stage; returns ``(out,
     stat_items)``.  The shm engine assembles its own output matrix; the
     thread and serial stages stitch their chunk matrices with
@@ -399,11 +404,13 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
         out, stat_items = shm_parallel_run(
             mats, method, ranges,
             sorted_output=sorted_output, kwargs=kwargs, threads=threads,
-            index_dtype=index_dtype, materialize=materialize,
-            policy=policy, deadline=deadline, fault_plan=plan,
+            index_dtype=index_dtype, policy=policy, deadline=deadline,
+            fault_plan=plan,
         )
         return out, stat_items
     from repro.parallel.resilience import run_wave
+
+    errstate = np.geterr()
 
     def make_task(i):
         # Thread and serial chunks run in the caller's process, where a
@@ -415,7 +422,7 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
             if plan is not None else None
         )
         views = [A.col_view(j0, j1) for A in mats]
-        return fault, method, j0, views, sorted_output, kwargs
+        return fault, errstate, method, j0, views, sorted_output, kwargs
 
     def wave(lease, label):
         return run_wave(
@@ -444,26 +451,26 @@ def parallel_spkadd(
     *,
     threads: int = 2,
     sorted_output: bool = True,
-    chunks_per_thread: int = 4,
     executor: Optional[str] = None,
     index_dtype=None,
-    materialize: Optional[bool] = None,
     deadline=None,
     resilience=None,
     **kwargs,
 ):
     """Column-parallel SpKAdd (paper Section III-A).
 
-    Columns are divided into ``threads * chunks_per_thread`` contiguous
+    Columns are divided into ``threads * CHUNKS_PER_THREAD`` contiguous
     chunks of near-equal *input nnz* (the dynamic-balancing weight) and
     executed on a thread, shared-memory, or serial pool
     (``executor=``; ``None``/``"auto"`` consults ``REPRO_EXECUTOR`` then
-    uses ``"thread"``).  Per-chunk stats are merged; the result is
-    bit-identical to the sequential method.  ``index_dtype`` pins the
-    output index width (default: the call-level int32-when-it-fits
-    rule, identical to the serial kernels').  ``materialize`` controls
-    shm result placement (see :func:`repro.parallel.shm.resolve_shm_results`);
-    the thread and serial executors always return private arrays.
+    uses ``"thread"``).  Hash-family methods run the ``fast`` backend
+    unless ``backend="instrumented"`` is passed.  Per-chunk stats are
+    merged; the result is bit-identical to the sequential method.
+    ``index_dtype`` pins the output index width (default: the
+    call-level int32-when-it-fits rule, identical to the serial
+    kernels').  shm results are zero-copy views into the engine's
+    shared segment (``result.matrix.materialize()`` copies them out);
+    the thread and serial executors return private arrays.
 
     The call runs under a :class:`~repro.parallel.resilience.ResiliencePolicy`
     (``resilience=``, default resolved from the environment): chunks
@@ -493,10 +500,6 @@ def parallel_spkadd(
     # call that quietly ignores what was asked.
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if chunks_per_thread < 1:
-        raise ValueError(
-            f"chunks_per_thread must be >= 1, got {chunks_per_thread}"
-        )
     executor = resolve_executor(executor)
     if executor == "shm" and kwargs.get("trace_sink") is not None:
         raise ValueError(
@@ -516,7 +519,7 @@ def parallel_spkadd(
         kwargs.setdefault("threads", threads)
     n = mats[0].shape[1]
     weights = _total_col_nnz(mats)
-    n_chunks = max(min(threads * chunks_per_thread, n), 1)
+    n_chunks = max(min(threads * CHUNKS_PER_THREAD, n), 1)
     ranges = [
         (j0, j1) for j0, j1 in split_weighted(weights, n_chunks) if j1 > j0
     ]
@@ -535,8 +538,7 @@ def parallel_spkadd(
                 stage, mats, method, ranges,
                 sorted_output=sorted_output, kwargs=kwargs,
                 threads=threads, index_dtype=index_dtype,
-                materialize=materialize, policy=policy, deadline=dl,
-                plan=plan,
+                policy=policy, deadline=dl, plan=plan,
             )
             break
         except ExecutorUnusable as err:
@@ -550,7 +552,7 @@ def parallel_spkadd(
     merged = KernelStats(algorithm=f"{method}[T={threads}]")
     merged_sym: Optional[KernelStats] = (
         KernelStats(algorithm=f"{method}_symbolic[T={threads}]")
-        if method in _TWO_PHASE
+        if method in BACKEND_AWARE_METHODS
         else None
     )
 

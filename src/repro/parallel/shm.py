@@ -39,11 +39,10 @@ Workers only ever attach by name — handles travel as picklable
 :class:`SharedArraySpec` tuples, which keeps the engine safe under the
 ``spawn`` start method as well as ``fork``.
 
-Result placement is **zero-copy** by default: the compacted arrays are
-views into the output segment, kept alive by a
-:class:`SharedResultOwner` whose finalizer unlinks the segment when the
-last view dies.  ``spkadd(..., materialize=True)`` (or
-``REPRO_SHM_RESULTS=materialize``) copies them into private memory.
+Results are **zero-copy**: the compacted arrays are views into the
+output segment, kept alive by a :class:`SharedResultOwner` whose
+finalizer unlinks the segment when the last view dies.  A caller that
+needs private memory calls ``result.matrix.materialize()``.
 
 Resilience: the wave runs through
 :func:`~repro.parallel.resilience.run_wave`, which retries transiently
@@ -82,11 +81,6 @@ from repro.formats.csc import CSCMatrix
 #: checks (and humans inspecting /dev/shm) can attribute them.
 SEGMENT_PREFIX = "repro_shm_"
 
-#: environment variable pinning the engine's default result placement:
-#: ``zero-copy`` (the default — segment-backed arrays, unlink on gc) or
-#: ``materialize``/``copy`` (private copies, the pre-zero-copy contract).
-SHM_RESULTS_ENV_VAR = "REPRO_SHM_RESULTS"
-
 #: byte alignment of packed arrays inside a segment (>= any dtype's
 #: itemsize here; keeps every view naturally aligned for NumPy).
 _ALIGN = 16
@@ -121,22 +115,6 @@ class SharedArraySpec:
             buffer=buf,
             offset=self.offset,
         )
-
-
-def resolve_shm_results(materialize: Optional[bool] = None) -> bool:
-    """True when shm results must be materialized (copied out of shared
-    memory): explicit ``materialize=`` argument > ``REPRO_SHM_RESULTS``
-    environment variable > zero-copy default.
-
-    >>> resolve_shm_results(True)
-    True
-    """
-    if materialize is not None:
-        return bool(materialize)
-    from repro import env
-
-    result: bool = env.get(SHM_RESULTS_ENV_VAR)
-    return result
 
 
 def _new_segment_name() -> str:
@@ -680,7 +658,6 @@ class SharedMemoryPool:
         kwargs: dict,
         threads: int,
         index_dtype=None,
-        materialize: Optional[bool] = None,
         policy=None,
         deadline=None,
         fault_plan=None,
@@ -689,10 +666,8 @@ class SharedMemoryPool:
 
         Returns ``(matrix, stat_items)`` with ``stat_items`` a list of
         ``(j0, stats, stats_symbolic)`` per chunk, chunk-identical to
-        what the thread and serial executors produce.  ``materialize``
-        picks result placement (:func:`resolve_shm_results`): the
-        default returns segment-backed zero-copy arrays, ``True`` copies
-        them into private memory before the segment is unlinked.
+        what the thread and serial executors produce.  The matrix's
+        arrays are zero-copy views into the output segment.
 
         ``policy``/``deadline`` bound the call
         (:mod:`repro.parallel.resilience`; both default to the
@@ -700,9 +675,6 @@ class SharedMemoryPool:
         retried on a rebuilt pool, and every wait honours the deadline.
         ``fault_plan`` injects chaos-harness faults.
         """
-        # Resolve before any segment exists so a bad REPRO_SHM_RESULTS
-        # fails fast and clean.
-        materialize = resolve_shm_results(materialize)
         from repro.parallel.resilience import Deadline, resolve_policy
 
         if policy is None:
@@ -715,14 +687,12 @@ class SharedMemoryPool:
                 mats, method, ranges,
                 sorted_output=sorted_output, kwargs=kwargs,
                 threads=threads, index_dtype=index_dtype,
-                materialize=materialize, policy=policy,
-                deadline=deadline, fault_plan=fault_plan,
+                policy=policy, deadline=deadline, fault_plan=fault_plan,
             )
 
     def _run_locked(
         self, mats, method, ranges, *, sorted_output, kwargs, threads,
-        index_dtype=None, materialize=False, policy=None, deadline=None,
-        fault_plan=None,
+        index_dtype=None, policy=None, deadline=None, fault_plan=None,
     ):
         from repro.core.symbolic import chunk_output_layout
         from repro.kernels import resolve_index_dtype, resolve_value_dtype
@@ -802,24 +772,17 @@ class SharedMemoryPool:
             )
             total = int(indptr[-1])
             deadline.check("shm result assembly")
-            owner: Optional[SharedResultOwner] = None
-            if materialize:
-                out_idx_arr = registry.view(out_indices)[:total].copy()
-                out_dat_arr = registry.view(out_data)[:total].copy()
-            else:
-                # Zero-copy: hand the output segment to a keep-alive
-                # owner and return views of its compacted prefix — the
-                # final memcpy disappears, and the segment unlinks when
-                # the last view is garbage-collected.  (indices and data
-                # share one packed segment, so one detach covers both.)
-                owner = SharedResultOwner(registry.detach(out_indices.name))
-                out_idx_arr = owner.adopt(replace(out_indices, size=total))
-                out_dat_arr = owner.adopt(replace(out_data, size=total))
+            # Zero-copy: hand the output segment to a keep-alive owner
+            # and return views of its compacted prefix — no final
+            # memcpy, and the segment unlinks when the last view is
+            # garbage-collected.  (indices and data share one packed
+            # segment, so one detach covers both.)
+            owner = SharedResultOwner(registry.detach(out_indices.name))
             out = CSCMatrix(
                 (m, n),
                 indptr,
-                out_idx_arr,
-                out_dat_arr,
+                owner.adopt(replace(out_indices, size=total)),
+                owner.adopt(replace(out_data, size=total)),
                 sorted=all(sorted_flags),
                 check=False,
             )
@@ -834,9 +797,10 @@ def _native_library(method: str, kwargs: dict) -> Optional[str]:
     the fast fused hash, ``hash`` or ``sliding_hash`` (resolved here, in
     the parent, so workers only load it); ``None`` for every other
     call."""
+    from repro.core.api import BACKEND_AWARE_METHODS
     from repro.kernels import native, resolve_backend
 
-    if method not in ("hash", "sliding_hash"):
+    if method not in BACKEND_AWARE_METHODS:
         return None
     if resolve_backend(kwargs.get("backend")) != "fast":
         return None
@@ -857,7 +821,6 @@ def shm_parallel_run(
     kwargs: dict,
     threads: int,
     index_dtype=None,
-    materialize: Optional[bool] = None,
     policy=None,
     deadline=None,
     fault_plan=None,
@@ -866,6 +829,6 @@ def shm_parallel_run(
     return _DEFAULT_ENGINE.run(
         mats, method, ranges,
         sorted_output=sorted_output, kwargs=kwargs, threads=threads,
-        index_dtype=index_dtype, materialize=materialize,
-        policy=policy, deadline=deadline, fault_plan=fault_plan,
+        index_dtype=index_dtype, policy=policy, deadline=deadline,
+        fault_plan=fault_plan,
     )

@@ -341,7 +341,8 @@ def unpack_matrices(
     """
     try:
         m, n = int(shape[0]), int(shape[1])
-    except (TypeError, ValueError, IndexError, KeyError) as err:
+    except (TypeError, ValueError, IndexError, KeyError,
+            OverflowError) as err:  # OverflowError: an infinite float
         raise RequestInvalid(f"malformed shape {shape!r}: {err}") from None
     if not isinstance(entries, (list, tuple)):
         raise RequestInvalid("matrix entries must be a list")

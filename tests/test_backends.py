@@ -16,22 +16,15 @@ from hypothesis import strategies as st
 from repro.core.api import spkadd
 from repro.core.hash_add import hash_symbolic, spkadd_hash
 from repro.core.sliding_hash import spkadd_sliding_hash
+from repro.core.stats import KernelStats
+from repro.formats.convert import transpose_csc
 from repro.formats.ops import matrices_equal
 from repro.generators import erdos_renyi_collection, rmat_collection
-from repro.kernels import (
-    BACKEND_ENV_VAR,
-    available_backends,
-    resolve_backend,
-    sort_reduce,
-)
+from repro.distributed.spgemm_local import LocalSpGEMMStats, local_spgemm
+from repro.kernels import available_backends, resolve_backend, sort_reduce
+from repro.parallel.executor import parallel_spkadd
 from tests.conftest import random_collection
 from tests.test_property_based import COMMON, matrix_collection
-
-
-@pytest.fixture(autouse=True)
-def _clean_backend_env(monkeypatch):
-    """Resolution-rule assertions assume no ambient REPRO_BACKEND."""
-    monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
 
 
 def canon(mat):
@@ -53,26 +46,61 @@ class TestRegistry:
     def test_available(self):
         assert available_backends() == ("fast", "instrumented")
 
-    def test_unknown_backend(self, monkeypatch):
+    def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("quantum")
-        monkeypatch.setenv(BACKEND_ENV_VAR, "quantum")
-        with pytest.raises(ValueError, match="unknown backend"):
-            resolve_backend(None)
 
     def test_resolution_defaults(self):
-        assert resolve_backend(None) == "instrumented"
-        assert resolve_backend(None, default="fast") == "fast"
-        assert resolve_backend("fast") == "fast"
-        assert resolve_backend("auto", default="fast") == "fast"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "fast")
         assert resolve_backend(None) == "fast"
-        # explicit argument beats the environment
+        assert resolve_backend("auto") == "fast"
+        assert resolve_backend("fast") == "fast"
         assert resolve_backend("instrumented") == "instrumented"
-        # an implicit choice that cannot trace falls back, silently
-        assert resolve_backend(None, need_trace=True) == "instrumented"
+
+    def test_direct_calls_default_to_fast(self, small_collection):
+        """Every hash-family entry point, not only the facade, runs the
+        fast engine when no backend is named: its stats carry no slot
+        operations."""
+        res = parallel_spkadd(small_collection, threads=1, executor="thread")
+        assert res.stats.ops == 0 and res.stats.probes == 0
+        st = KernelStats()
+        spkadd_hash(small_collection, stats=st)
+        assert st.ops == 0 and st.probes == 0
+        A = small_collection[0]
+        mst = LocalSpGEMMStats()
+        local_spgemm(A, transpose_csc(A), stats=mst)
+        assert mst.flops > 0
+        assert mst.hash_ops == 0 and mst.probes == 0
+
+    def test_stale_backend_env_is_ignored(self, small_collection,
+                                          monkeypatch):
+        """``REPRO_BACKEND`` is no knob any more: a pin left in the
+        environment cannot swap the engine under any entry point."""
+        from repro.env import KNOBS
+
+        assert "REPRO_BACKEND" not in KNOBS
+        monkeypatch.setenv("REPRO_BACKEND", "instrumented")
+        assert resolve_backend(None) == "fast"
+        assert spkadd(small_collection, method="hash").stats.ops == 0
+        st = KernelStats()
+        spkadd_hash(small_collection, stats=st)
+        assert st.ops == 0
+
+    def test_sliding_and_symbolic_default_to_fast(self, small_collection):
+        """The sliding-hash and symbolic entry points, too, run the fast
+        engine when no backend is named."""
+        st = KernelStats()
+        spkadd_sliding_hash(small_collection, stats=st)
+        assert st.ops == 0 and st.probes == 0
+        st_sym = KernelStats()
+        hash_symbolic(small_collection, stats=st_sym)
+        assert st_sym.ops == 0 and st_sym.probes == 0
+        # ... where the instrumented engine meters slot operations.
+        inst, inst_sym = KernelStats(), KernelStats()
+        spkadd_sliding_hash(small_collection, stats=inst,
+                            backend="instrumented")
+        hash_symbolic(small_collection, stats=inst_sym,
+                      backend="instrumented")
+        assert inst.ops > 0 and inst_sym.ops > 0
 
     def test_trace_forces_instrumented(self):
         assert resolve_backend(None, need_trace=True) == "instrumented"
@@ -87,11 +115,6 @@ class TestRegistry:
     def test_facade_rejects_backend_for_non_hash(self, small_collection):
         with pytest.raises(ValueError, match="backend"):
             spkadd(small_collection, method="heap", backend="fast")
-
-    def test_facade_env_override(self, small_collection, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "instrumented")
-        res = spkadd(small_collection, method="hash")
-        assert res.stats.ops > 0  # instrumented engine metered slot ops
 
 
 class TestSortReduce:

@@ -206,12 +206,9 @@ class TestStreaming:
             acc.push(m)
         assert matrices_equal(acc.result(), sum_with_scipy(small_collection))
 
-    def test_default_backend_is_fast(self, small_collection, monkeypatch):
+    def test_default_backend_is_fast(self, small_collection):
         """Streaming defaults to the registry's fast engine (ROADMAP):
         no slot ops are metered, unlike an instrumented run."""
-        from repro.kernels.registry import BACKEND_ENV_VAR
-
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         acc = StreamingAccumulator(batch_size=100)
         for m in small_collection:
             acc.push(m)
@@ -222,16 +219,6 @@ class TestStreaming:
             inst.push(m)
         inst.result()
         assert inst.stats.ops > 0
-
-    def test_env_var_overrides_default(self, small_collection, monkeypatch):
-        from repro.kernels.registry import BACKEND_ENV_VAR
-
-        monkeypatch.setenv(BACKEND_ENV_VAR, "instrumented")
-        acc = StreamingAccumulator(batch_size=100)
-        for m in small_collection:
-            acc.push(m)
-        acc.result()
-        assert acc.stats.ops > 0
 
     def test_kernel_and_backend_conflict(self):
         with pytest.raises(ValueError, match="kernel= or backend="):

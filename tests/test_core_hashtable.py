@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.hashtable import (
-    EMPTY,
-    hash_accumulate,
-    hash_count_distinct,
-    segmented_hash_accumulate,
-)
+from repro.core.hashtable import EMPTY, hash_accumulate
 from repro.core.reference import hash_add_ref
 
 
@@ -134,76 +129,3 @@ class TestHashAccumulate:
         with pytest.raises(TypeError):
             accum_dtype(np.dtype(object))
 
-
-class TestHashCountDistinct:
-    def test_counts(self):
-        keys = np.array([1, 2, 2, 3, 3, 3], dtype=np.int64)
-        n, ops, probes, _ = hash_count_distinct(keys, 16)
-        assert n == 3
-        assert ops == 6
-
-    def test_empty(self):
-        n, ops, probes, _ = hash_count_distinct(np.empty(0, dtype=np.int64), 16)
-        assert n == 0
-
-
-class TestSegmented:
-    def test_segments_independent(self):
-        keys = np.array([1, 1, 2, 1, 1], dtype=np.int64)
-        vals = np.ones(5)
-        starts = np.array([0, 3, 5])
-        sizes = np.array([8, 8])
-        k, v, lengths, ops, probes = segmented_hash_accumulate(
-            keys, vals, starts, sizes
-        )
-        # segment 0: {1: 2, 2: 1}; segment 1: {1: 2}
-        assert list(lengths) == [2, 1]
-        assert len(k) == 3
-
-    def test_empty_segment(self):
-        keys = np.array([5], dtype=np.int64)
-        starts = np.array([0, 0, 1])
-        k, v, lengths, ops, probes = segmented_hash_accumulate(
-            keys, np.ones(1), starts, np.array([8, 8])
-        )
-        assert list(lengths) == [0, 1]
-
-    def test_all_empty(self):
-        k, v, lengths, ops, probes = segmented_hash_accumulate(
-            np.empty(0, dtype=np.int64), np.empty(0),
-            np.array([0, 0, 0]), np.array([8, 8]),
-        )
-        assert list(lengths) == [0, 0]
-        assert k.size == 0 and ops == 0
-
-    def test_batched_matches_per_segment_reference(self):
-        """One batched call must reproduce segment-local sums exactly."""
-        rng = np.random.default_rng(6)
-        keys = rng.integers(0, 50, 200).astype(np.int64)
-        vals = rng.normal(size=200)
-        starts = np.array([0, 30, 30, 120, 200])
-        sizes = np.array([64, 64, 256, 128])
-        k, v, lengths, ops, probes = segmented_hash_accumulate(
-            keys, vals, starts, sizes
-        )
-        assert int(lengths.sum()) == k.size
-        pos = 0
-        for i in range(4):
-            lo, hi = int(starts[i]), int(starts[i + 1])
-            seg_k = k[pos : pos + lengths[i]]
-            seg_v = v[pos : pos + lengths[i]]
-            pos += int(lengths[i])
-            expect = {}
-            for key, val in zip(keys[lo:hi], vals[lo:hi]):
-                expect[int(key)] = expect.get(int(key), 0.0) + val
-            got = dict(zip(seg_k.tolist(), seg_v.tolist()))
-            assert set(got) == set(expect)
-            for key in expect:
-                assert got[key] == pytest.approx(expect[key])
-
-    def test_ops_are_reported(self):
-        keys = np.array([1, 1, 2, 1, 1], dtype=np.int64)
-        _, _, _, ops, _ = segmented_hash_accumulate(
-            keys, np.ones(5), np.array([0, 3, 5]), np.array([8, 8])
-        )
-        assert ops >= len(keys)  # at least one slot visit per entry

@@ -111,7 +111,7 @@ class TestHashSymbolic:
 
     def test_stats_have_probe_histogram(self, small_collection):
         st = KernelStats()
-        hash_symbolic(small_collection, stats=st)
+        hash_symbolic(small_collection, stats=st, backend="instrumented")
         assert st.ops >= st.input_nnz
         assert st.total_table_accesses == st.ops
 
@@ -122,7 +122,9 @@ class TestHash:
         assert matrices_equal(got, sum_with_scipy(small_collection))
 
     def test_unsorted_output_same_content(self, small_collection):
-        got = spkadd_hash(small_collection, sorted_output=False)
+        got = spkadd_hash(
+            small_collection, sorted_output=False, backend="instrumented"
+        )
         assert not got.sorted
         canon = got.copy()
         canon.sort_indices()
@@ -154,7 +156,7 @@ class TestHash:
         for k in (4, 16, 64):
             mats = random_collection(9, 2000, 8, k, nnz_lo=60, nnz_hi=61)
             st = KernelStats()
-            spkadd_hash(mats, stats=st, block_cols=1)
+            spkadd_hash(mats, stats=st, block_cols=1, backend="instrumented")
             ratios.append(st.ops / st.input_nnz)
         assert max(ratios) / min(ratios) < 1.6  # probes vary mildly
 
@@ -205,9 +207,13 @@ class TestSlidingHash:
 
     def test_smaller_tables_than_hash(self, small_collection):
         st_h, st_s = KernelStats(), KernelStats()
-        spkadd_hash(small_collection, stats=st_h, block_cols=1)
+        spkadd_hash(
+            small_collection, stats=st_h, block_cols=1,
+            backend="instrumented",
+        )
         spkadd_sliding_hash(
-            small_collection, stats=st_s, table_entries=16, block_cols=1
+            small_collection, stats=st_s, table_entries=16, block_cols=1,
+            backend="instrumented",
         )
         assert max(st_s.table_traffic) <= max(st_h.table_traffic)
 

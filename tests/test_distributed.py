@@ -110,8 +110,10 @@ class TestLocalSpGEMM:
     def test_sort_charged_only_when_sorted(self):
         A = rmat(64, 64, d=4, seed=7)
         st_sorted, st_unsorted = LocalSpGEMMStats(), LocalSpGEMMStats()
-        local_spgemm(A, A, sorted_output=True, stats=st_sorted)
-        local_spgemm(A, A, sorted_output=False, stats=st_unsorted)
+        for st, sort in ((st_sorted, True), (st_unsorted, False)):
+            local_spgemm(
+                A, A, sorted_output=sort, stats=st, backend="instrumented"
+            )
         assert st_sorted.sort_entries > 0
         assert st_unsorted.sort_entries == 0
 
@@ -261,10 +263,9 @@ class TestPromotedConformance:
             res.assemble(), self._reference(np.float64), "loose kwargs"
         )
 
-    def test_paper_plan_ignores_backend_env(self, monkeypatch):
-        # Figure runs pin backend="instrumented" in the plan, so the
-        # env knob cannot silently swap the engine and zero the stats.
-        monkeypatch.setenv("REPRO_BACKEND", "fast")
+    def test_default_plan_meters_instrumented_stats(self):
+        # Figure runs pin backend="instrumented" in the paper plan, so
+        # the fast default of the kernels cannot zero the stats.
         A, B = _operands(np.float64)
         res = summa_spgemm(
             A, B, grid=ProcessGrid(*self.GRID), stages=self.STAGES

@@ -105,8 +105,8 @@ def test_l001_disable_comment():
 L002_BAD_GET = """\
 import os
 
-def backend_name():
-    return os.environ.get("REPRO_BACKEND")
+def executor_name():
+    return os.environ.get("REPRO_EXECUTOR")
 """
 
 L002_BAD_SUBSCRIPT = """\
@@ -119,8 +119,8 @@ def deadline_raw():
 L002_GOOD = """\
 from repro import env
 
-def backend_name():
-    return env.get("REPRO_BACKEND")
+def executor_name():
+    return env.get("REPRO_EXECUTOR")
 """
 
 
@@ -380,7 +380,7 @@ def test_cli_exit_codes(tmp_path):
     assert clean.returncode == 0, clean.stdout + clean.stderr
 
     bad = tmp_path / "bad.py"
-    bad.write_text('import os\nVAL = os.environ.get("REPRO_BACKEND")\n')
+    bad.write_text('import os\nVAL = os.environ.get("REPRO_EXECUTOR")\n')
     dirty = subprocess.run(
         [sys.executable, "-m", "repro.lint", str(bad)],
         cwd=REPO_ROOT,
@@ -411,7 +411,7 @@ def test_cli_github_annotations(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     bad = tmp_path / "bad.py"
-    bad.write_text('import os\nVAL = os.environ.get("REPRO_BACKEND")\n')
+    bad.write_text('import os\nVAL = os.environ.get("REPRO_EXECUTOR")\n')
     proc = subprocess.run(
         [sys.executable, "-m", "repro.lint", "--github", str(bad)],
         cwd=REPO_ROOT,

@@ -232,6 +232,22 @@ class TestAdversarialExecutors:
         )
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("method", ["hash", "sliding_hash"])
+    def test_thread_chunks_honour_caller_errstate(self, dtype, method):
+        """``np.errstate`` is thread-local; the thread executor carries
+        the caller's state into its chunks, so NaN/inf sums stay as
+        silent as the serial call."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mats = float_pool_collection(dtype)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                spkadd(
+                    mats, method=method, backend="fast", threads=2,
+                    executor="thread",
+                )
+        assert not [w for w in caught if w.category is RuntimeWarning]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sliding_matches_hash(self, dtype):
         with np.errstate(over="ignore", invalid="ignore"):
             mats = float_pool_collection(dtype)

@@ -9,6 +9,7 @@ from repro.parallel.scheduler import (
     schedule_makespan,
     static_schedule,
 )
+from repro.parallel import executor as executor_mod
 from repro.parallel.executor import parallel_spkadd, simulate_parallel_time
 from repro.formats.ops import matrices_equal, sum_with_scipy
 from tests.conftest import random_collection
@@ -131,6 +132,31 @@ class TestExecutor:
     def test_more_threads_than_columns(self):
         mats = random_collection(24, 100, 3, 4)
         res = parallel_spkadd(mats, "hash", threads=8)
+        assert matrices_equal(res.matrix, sum_with_scipy(mats))
+
+    @pytest.mark.parametrize("threads, n", [(1, 64), (3, 64), (8, 5)])
+    def test_fixed_chunk_count(self, monkeypatch, threads, n):
+        """Columns split into ``threads * CHUNKS_PER_THREAD`` chunks,
+        never more than there are columns (empty pieces are dropped)."""
+        seen = []
+        stage = executor_mod._execute_stage
+
+        def recording_stage(stage_name, mats, method, ranges, **kw):
+            seen.append(list(ranges))
+            return stage(stage_name, mats, method, ranges, **kw)
+
+        monkeypatch.setattr(executor_mod, "_execute_stage", recording_stage)
+        mats = random_collection(25, 200, n, 4, nnz_lo=n, nnz_hi=4 * n)
+        res = parallel_spkadd(mats, "hash", threads=threads,
+                              executor="serial")
+        want = threads * executor_mod.CHUNKS_PER_THREAD
+        assert len(seen) == 1
+        if want <= n // 4:
+            assert len(seen[0]) == want
+        else:
+            assert 1 <= len(seen[0]) <= n
+        assert all(j1 > j0 for j0, j1 in seen[0])
+        assert seen[0][0][0] == 0 and seen[0][-1][1] == n
         assert matrices_equal(res.matrix, sum_with_scipy(mats))
 
     def test_simulate_parallel_time_monotone(self):

@@ -17,8 +17,8 @@ Three contracts under test:
 * **Zero-copy result lifetime** — a shm result's segment stays alive
   exactly as long as some view of it does: present while the matrix (or
   any NumPy view derived from its arrays) is referenced, unlinked from
-  ``/dev/shm`` when the last reference dies; ``materialize=True`` /
-  ``REPRO_SHM_RESULTS`` restore the private-copy contract.
+  ``/dev/shm`` when the last reference dies; ``matrix.materialize()``
+  returns a private copy.
 """
 
 import gc
@@ -41,11 +41,7 @@ from repro.parallel.pools import (
     get_pool,
     shutdown_pools,
 )
-from repro.parallel.shm import (
-    SHM_RESULTS_ENV_VAR,
-    list_live_segments,
-    resolve_shm_results,
-)
+from repro.parallel.shm import list_live_segments
 from tests.conftest import assert_bit_identical, random_collection
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
@@ -392,19 +388,6 @@ class TestZeroCopyLifetime:
         view = res.matrix.col_view(2, 7)
         assert view.buffer_owner is res.matrix.buffer_owner
 
-    def test_materialize_kwarg_returns_private_copy(self):
-        mats = random_collection(58, 180, 13, 4)
-        before = list_live_segments()
-        zc = self.run_shm(mats)
-        mz = self.run_shm(mats, materialize=True)
-        assert mz.matrix.buffer_owner is None
-        assert not mz.matrix.is_shm_backed
-        assert_bit_identical(zc.matrix, mz.matrix)
-        del zc
-        gc.collect()
-        # The materialized result holds no segment.
-        assert list_live_segments() == before
-
     def test_matrix_materialize_method(self):
         mats = random_collection(59, 150, 11, 4)
         res = self.run_shm(mats)
@@ -418,22 +401,17 @@ class TestZeroCopyLifetime:
         assert name not in list_live_segments()
         assert private.nnz >= 0  # still fully usable after the segment died
 
-    def test_env_pin_materializes(self, monkeypatch):
-        mats = random_collection(60, 150, 11, 4)
-        monkeypatch.setenv(SHM_RESULTS_ENV_VAR, "materialize")
-        res = self.run_shm(mats)
-        assert res.matrix.buffer_owner is None
-        # Explicit argument beats the pin.
-        res = self.run_shm(mats, materialize=False)
-        assert res.matrix.buffer_owner is not None
+    def test_stale_results_env_is_ignored(self, monkeypatch):
+        """``REPRO_SHM_RESULTS`` is no knob any more: a pin left in a
+        deployment's environment neither copies the result nor fails."""
+        from repro.env import KNOBS
 
-    def test_env_invalid_value_names_source(self, monkeypatch):
-        mats = random_collection(61, 100, 9, 3)
-        monkeypatch.setenv(SHM_RESULTS_ENV_VAR, "teleport")
-        before = list_live_segments()
-        with pytest.raises(ValueError, match=SHM_RESULTS_ENV_VAR):
-            self.run_shm(mats)
-        assert list_live_segments() == before  # failed before any segment
+        assert "REPRO_SHM_RESULTS" not in KNOBS
+        mats = random_collection(60, 150, 11, 4)
+        monkeypatch.setenv("REPRO_SHM_RESULTS", "materialize")
+        res = self.run_shm(mats)
+        assert res.matrix.buffer_owner is not None
+        assert res.matrix.is_shm_backed
 
     def test_zero_copy_result_pickles_as_private(self):
         """Pickling a segment-backed matrix must transport the array
@@ -520,16 +498,3 @@ class TestZeroCopyLifetime:
         again = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(ref.matrix, again.matrix)
 
-    def test_resolve_shm_results_rules(self, monkeypatch):
-        monkeypatch.delenv(SHM_RESULTS_ENV_VAR, raising=False)
-        assert resolve_shm_results(None) is False
-        assert resolve_shm_results(True) is True
-        assert resolve_shm_results(False) is False
-        for raw, expect in [
-            ("zero-copy", False), ("zero_copy", False), ("ZeroCopy", False),
-            ("materialize", True), ("copy", True),
-        ]:
-            monkeypatch.setenv(SHM_RESULTS_ENV_VAR, raw)
-            assert resolve_shm_results(None) is expect, raw
-        monkeypatch.setenv(SHM_RESULTS_ENV_VAR, "materialize")
-        assert resolve_shm_results(False) is False  # argument wins

@@ -235,18 +235,10 @@ def assert_bitwise_equal(a, b):
 
 
 @settings(**SHM_COMMON)
-@given(matrix_collection(), st.integers(2, 5), st.integers(1, 3))
-def test_shm_ragged_chunks_match_thread(
-    native_mode, mats, threads, chunks_per_thread
-):
-    ref = spkadd(
-        mats, method="hash", threads=threads, executor="thread",
-        chunks_per_thread=chunks_per_thread,
-    )
-    got = spkadd(
-        mats, method="hash", threads=threads, executor="shm",
-        chunks_per_thread=chunks_per_thread,
-    )
+@given(matrix_collection(), st.integers(2, 5))
+def test_shm_ragged_chunks_match_thread(native_mode, mats, threads):
+    ref = spkadd(mats, method="hash", threads=threads, executor="thread")
+    got = spkadd(mats, method="hash", threads=threads, executor="shm")
     assert_bitwise_equal(ref.matrix, got.matrix)
     assert ref.stats.output_nnz == got.stats.output_nnz
 

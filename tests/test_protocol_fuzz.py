@@ -18,6 +18,7 @@ import time
 import uuid
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -169,6 +170,15 @@ def test_unpack_matrices(request):
             A.validate()
         del mats
     assert list_live_segments() == before
+
+
+@pytest.mark.parametrize("shape", [
+    [float("inf"), 4], [16, float("-inf")], [float("nan"), 4], ["16x", 4],
+])
+def test_unpack_matrices_rejects_non_integral_shape(shape):
+    # JSON headers decode ``Infinity``/``NaN`` to floats int() refuses.
+    with pytest.raises(protocol.RequestInvalid, match="malformed shape"):
+        unpack_matrices(shape, GOOD_ENTRIES, GOOD_PAYLOAD)
 
 
 def test_unpack_matrices_round_trips():

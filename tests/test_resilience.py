@@ -199,7 +199,7 @@ class TestKillRetry:
             with faults.inject(kill_chunk=1):
                 res = spkadd(
                     mats, method="hash", threads=2, executor=executor,
-                    backend=backend, materialize=True,
+                    backend=backend,
                 )
         assert_bit_identical(
             res.matrix, base.matrix, f"{executor}/{backend} kill-retry"
@@ -211,15 +211,14 @@ class TestKillRetry:
     def test_kill_leaves_no_children_fds_segments(self, mats):
         base = baseline_result(mats)
         # Warm the pool so the baseline counts include resident workers.
-        spkadd(mats, method="hash", threads=2, executor="shm",
-               materialize=True)
+        spkadd(mats, method="hash", threads=2, executor="shm")
         children = len(multiprocessing.active_children())
         fds = open_fds()
         seg_before = list_live_segments()
         for trial in range(3):
             with faults.inject(kill_chunk=trial % 2):
                 res = spkadd(mats, method="hash", threads=2,
-                             executor="shm", materialize=True)
+                             executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"trial {trial}")
         del res
         gc.collect()
@@ -235,8 +234,7 @@ class TestKillRetry:
         base = baseline_result(mats)
         seg_before = list_live_segments()
         with faults.inject(kill_chunk=0, delay_chunk=0, delay_s=0.05):
-            res = spkadd(mats, method="hash", threads=2, executor="shm",
-                         materialize=True)
+            res = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(res.matrix, base.matrix, "post-SIGKILL")
         del res
         gc.collect()
@@ -268,7 +266,9 @@ class TestKillRetry:
         layout (and the compaction right after it) starts.  The pool's
         manager thread is slowed down between failing the futures and
         terminating the survivors, so the retry would outrun it unless
-        the broken pool is joined."""
+        the broken pool is joined.  A caller that copies the result out
+        with ``matrix.materialize()`` gets the same matrix in private
+        memory."""
         from multiprocessing.process import BaseProcess
 
         from repro.core import symbolic
@@ -309,14 +309,19 @@ class TestKillRetry:
         monkeypatch.setattr(engine, "_lease_pool", recording_lease)
         monkeypatch.setattr(symbolic, "chunk_output_layout", checked_layout)
         with faults.inject(kill_chunk=1, delay_chunk=0, delay_s=0.2):
-            res = spkadd(mats, method="hash", threads=2, executor="shm",
-                         materialize=materialize)
+            res = spkadd(mats, method="hash", threads=2, executor="shm")
         assert broken_pids, "the injected kill did not break the pool"
         assert alive_at_layout == []
         assert [p for p in broken_pids if shm._pid_alive(p)] == []
-        assert res.matrix.is_shm_backed is not materialize
-        assert_bit_identical(res.matrix, base.matrix, "stale writer")
+        assert res.matrix.is_shm_backed
+        out = res.matrix.materialize() if materialize else res.matrix
+        assert out.is_shm_backed is not materialize
         del res
+        gc.collect()
+        if materialize:  # the copy holds no segment
+            assert list_live_segments() == seg_before
+        assert_bit_identical(out, base.matrix, "stale writer")
+        del out
         gc.collect()
         assert list_live_segments() == seg_before
 
@@ -356,15 +361,14 @@ class TestDeadline:
     @pytest.mark.parametrize("executor", ["thread", "shm"])
     def test_delayed_chunk_deadline(self, mats, executor):
         # Warm pools first so the measured window is the wait, not a boot.
-        spkadd(mats, method="hash", threads=2, executor=executor,
-               materialize=True)
+        spkadd(mats, method="hash", threads=2, executor=executor)
         warm_pools = {id(p) for (t, _), p in active_pools().items() if t == 2}
         seg_before = list_live_segments()
         t0 = time.monotonic()
         with pytest.raises(DeadlineExceeded):
             with faults.inject(delay_chunk=0, delay_s=3.0):
                 spkadd(mats, method="hash", threads=2, executor=executor,
-                       deadline=0.5, materialize=True)
+                       deadline=0.5)
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"deadline held {elapsed:.2f}s (2x bound)"
         gc.collect()
@@ -375,8 +379,7 @@ class TestDeadline:
         if executor == "shm":
             assert not {id(p) for p in active_pools().values()} & warm_pools
         t0 = time.monotonic()
-        res = spkadd(mats, method="hash", threads=2, executor=executor,
-                     materialize=True)
+        res = spkadd(mats, method="hash", threads=2, executor=executor)
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"follow-up call took {elapsed:.2f}s"
         assert_bit_identical(res.matrix, baseline_result(mats).matrix,
@@ -660,8 +663,7 @@ class TestTeardownRace:
 class TestChaosSoak:
     def test_mixed_faults_no_growth(self, mats):
         base = baseline_result(mats)
-        spkadd(mats, method="hash", threads=2, executor="shm",
-               materialize=True)  # warm
+        spkadd(mats, method="hash", threads=2, executor="shm")  # warm
         children = len(multiprocessing.active_children())
         fds = open_fds()
         seg_before = list_live_segments()
@@ -674,7 +676,7 @@ class TestChaosSoak:
         for trial, plan in enumerate(plans * 2):
             with faults.inject(**plan):
                 res = spkadd(mats, method="hash", threads=2,
-                             executor="shm", materialize=True)
+                             executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"soak {trial}")
         del res
         gc.collect()

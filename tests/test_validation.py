@@ -4,7 +4,7 @@ Three silent-acceptance bugs, now loud:
 
 * ``threads=0`` / negative thread counts used to fall through to a
   silent serial run — ``spkadd`` and ``parallel_spkadd`` now reject
-  them (and ``chunks_per_thread < 1``) with a clear ``ValueError``,
+  them with a clear ``ValueError``,
   and the CLI rejects them at the parser;
 * policy errors sourced from the environment now *name their source*
   (``REPRO_MAX_RETRIES=-3`` says so), and the ``deadline=`` kwarg path
@@ -39,7 +39,7 @@ def mats():
 
 
 # ---------------------------------------------------------------------------
-# threads / chunks_per_thread validation
+# threads validation
 # ---------------------------------------------------------------------------
 
 
@@ -56,17 +56,46 @@ def test_parallel_spkadd_rejects_nonpositive_threads(mats, executor, bad):
         parallel_spkadd(mats, threads=bad, executor=executor)
 
 
-@pytest.mark.parametrize("bad", [0, -3])
-def test_parallel_spkadd_rejects_nonpositive_chunks(mats, bad):
-    with pytest.raises(
-        ValueError, match=f"chunks_per_thread must be >= 1, got {bad}"
-    ):
-        parallel_spkadd(mats, threads=2, chunks_per_thread=bad)
-
-
 def test_threads_one_still_runs(mats):
     res = repro.spkadd(mats, threads=1)
     assert res.matrix.nnz >= 0
+
+
+# ---------------------------------------------------------------------------
+# removed options: a caller still passing one is refused, not ignored
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, option", [
+    (lambda m: repro.spkadd(m, materialize=True), "materialize"),
+    (lambda m: repro.spkadd(m, threads=1, chunks_per_thread=1),
+     "chunks_per_thread"),
+    (lambda m: parallel_spkadd(m, threads=2, chunks_per_thread=2),
+     "chunks_per_thread"),
+    (lambda m: parallel_spkadd(m, threads=2, executor="shm",
+                               materialize=True), "materialize"),
+    (lambda m: repro.ExecutionPlan(materialize=True), "materialize"),
+    (lambda m: repro.ExecutionPlan.production(materialize=True),
+     "materialize"),
+], ids=["spkadd-materialize", "spkadd-chunks", "parallel-chunks",
+        "parallel-shm-materialize", "plan-materialize",
+        "production-materialize"])
+def test_removed_options_are_refused(mats, call, option):
+    from repro.parallel.shm import list_live_segments
+
+    before = list_live_segments()
+    with pytest.raises(TypeError, match=option):
+        call(mats)
+    assert list_live_segments() == before
+
+
+def test_cli_refuses_removed_materialize_flag(capsys):
+    from repro.__main__ import build_parser
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["demo", "--materialize"])
+    assert exc.value.code == 2
+    assert "--materialize" in capsys.readouterr().err
 
 
 def test_cli_rejects_nonpositive_threads(capsys):
