@@ -13,7 +13,9 @@ Modes
     One ER workload at the ISSUE-1 acceptance point (k=8 matrices,
     m=2^16 rows): every method once per relevant backend, plus the
     thread/shm executor series on the hash kernel, 3 repeats,
-    best-of.  The native series times the serial fast backend with
+    best-of.  A parallel series times serial, ``thread`` and ``shm``
+    at T=2 on that workload, paired, from an empty plan cache.  The
+    native series times the serial fast backend with
     the compiled kernel, with it forced off (the NumPy loop) and a raw
     scipy pairwise fold, paired, on that workload and on a ~1M-nnz
     k=16 shape, and reports medians with quartiles; on the k=16 shape a
@@ -240,6 +242,62 @@ def bench_native_series(shapes, *, repeats, records, replay_shapes=()):
     return out
 
 
+def bench_parallel_series(mats, *, repeats, records, threads=2):
+    """Serial SpKAdd against the ``thread`` and ``shm`` executors at
+    ``threads`` workers (hash, fast backend), legs alternating within
+    each repeat (paired), each call from an empty plan cache so the
+    kernel runs rather than a replay.  Returns ``{executor:
+    serial_median / executor_median}``."""
+    from repro.kernels import native
+
+    legs = {
+        "serial": {},
+        "thread": {"threads": threads, "executor": "thread"},
+        "shm": {"threads": threads, "executor": "shm"},
+    }
+    ref = repro.spkadd(mats).matrix
+    for leg, kw in legs.items():  # bit identity; also warms the shm pool
+        got = repro.spkadd(mats, **kw).matrix
+        if any(getattr(ref, f).tobytes() != getattr(got, f).tobytes()
+               for f in ("indptr", "indices", "data")):
+            raise AssertionError(f"parallel series: {leg} != serial")
+        del got
+    walls = {leg: [] for leg in legs}
+    for _ in range(repeats):
+        for leg, kw in legs.items():
+            native._clear_plans()
+            t0 = time.perf_counter()
+            repro.spkadd(mats, method="hash", backend="fast", **kw)
+            walls[leg].append(time.perf_counter() - t0)
+    print(f"parallel series: hash/fast, serial vs thread vs shm, "
+          f"T={threads}, {repeats} paired repeats")
+    medians = {}
+    for leg, w in walls.items():
+        spread = _spread(w)
+        medians[leg] = spread["median_s"]
+        records.append({
+            "workload": f"er_k8_n65536_t{threads}_{leg}",
+            "method": "hash",
+            "backend": "fast",
+            "executor": "-" if leg == "serial" else leg,
+            "threads": 1 if leg == "serial" else threads,
+            "wall_s": spread["median_s"],
+            "spread": spread,
+            "repeats": repeats,
+            "input_nnz": sum(A.nnz for A in mats),
+            "output_nnz": ref.nnz,
+            "ops": 0.0,
+            "probes": 0.0,
+        })
+        print(f"  er_k8_n65536_t{threads}_{leg:8s} median "
+              f"{spread['median_s'] * 1e3:8.1f} ms  (q1 "
+              f"{spread['q1_s'] * 1e3:.1f}, q3 {spread['q3_s'] * 1e3:.1f})")
+    return {
+        leg: round(medians["serial"] / medians[leg], 2)
+        for leg in ("thread", "shm") if medians[leg] > 0
+    }
+
+
 #: the SUMMA shape of the SpGEMM series: RMAT 2^14, d=4, a 2x2 grid
 #: and 16 stages.
 SPGEMM_SCALE, SPGEMM_D, SPGEMM_STAGES = 14, 4.0, 16
@@ -379,6 +437,10 @@ def main(argv=None) -> int:
             threads=exec_threads, repeats=args.repeats, records=records,
             executor=executor, backends=("fast",),
         )
+
+    parallel_speedup = bench_parallel_series(
+        er, repeats=max(args.repeats, 9), records=records
+    )
 
     # Pool-lifecycle series: executor="shm" routes through the
     # persistent pool registry, so only the first call after a teardown
@@ -845,6 +907,11 @@ def main(argv=None) -> int:
     print(f"hash plan replay-vs-kernel speedup (serial, k=16, m=2^16, "
           f"d=16): {replay_speedup}x")
 
+    print(f"hash thread-vs-serial speedup (k=8, m=2^16, T=2, paired): "
+          f"{parallel_speedup.get('thread')}x")
+    print(f"hash shm-vs-serial speedup (k=8, m=2^16, T=2, paired): "
+          f"{parallel_speedup.get('shm')}x")
+
     spgemm_native_speedup = (
         round(spgemm_native["numpy"] / spgemm_native["native"], 2)
         if spgemm_native else None
@@ -853,7 +920,7 @@ def main(argv=None) -> int:
           f"rmat m=2^{SPGEMM_SCALE}, sorted): {spgemm_native_speedup}x")
 
     payload = {
-        "schema": 12,
+        "schema": 13,
         "preset": "quick" if args.quick else "full",
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -872,6 +939,8 @@ def main(argv=None) -> int:
             "hash_native_vs_numpy_speedup": native_speedup,
             "hash_plan_replay_vs_kernel_speedup": replay_speedup,
             "spgemm_native_vs_numpy_speedup": spgemm_native_speedup,
+            "hash_thread_vs_serial_speedup": parallel_speedup.get("thread"),
+            "hash_shm_vs_serial_speedup": parallel_speedup.get("shm"),
         },
         "results": records,
     }

@@ -266,6 +266,8 @@ def _serve_selftest(config, burst: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.parallel.resilience import FALLBACK_STAGES
+
     p = argparse.ArgumentParser(
         prog="python -m repro",
         description="SpKAdd reproduction command line",
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "REPRO_MAX_RETRIES sets the session default")
     d.add_argument("--fallback", default="auto",
                    help="executor degradation chain: 'auto' (full "
-                        "shm>process>thread>serial chain), 'off' (fail "
+                        f"{'>'.join(FALLBACK_STAGES)} chain), 'off' (fail "
                         "instead of degrading), or a comma list of "
                         "allowed stages (REPRO_FALLBACK sets the "
                         "session default)")

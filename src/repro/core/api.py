@@ -17,7 +17,7 @@ shared-memory engine (``REPRO_EXECUTOR`` overrides the default).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence
 
 from repro.core.hash_add import spkadd_hash
@@ -65,29 +65,25 @@ class SpKAddResult:
 BACKEND_AWARE_METHODS = frozenset({"hash", "sliding_hash"})
 
 
-def _run_hash(mats, *, sorted_output, **kw):
-    st_sym = KernelStats()
-    st = kw.pop("stats")
-    out = spkadd_hash(
-        mats, sorted_output=sorted_output, stats=st, stats_symbolic=st_sym, **kw
-    )
-    return out, st, st_sym
-
-
-def _run_sliding(mats, *, sorted_output, **kw):
-    st_sym = KernelStats()
-    st = kw.pop("stats")
-    out = spkadd_sliding_hash(
-        mats, sorted_output=sorted_output, stats=st, stats_symbolic=st_sym, **kw
-    )
-    return out, st, st_sym
-
-
 _REGISTRY: Dict[str, Callable] = {}
 
 
 def _register(name: str, fn: Callable) -> None:
     _REGISTRY[name] = fn
+
+
+def _run_method(method: str, mats, sorted_output: bool, kwargs: dict):
+    """``(matrix, stats, stats_symbolic)`` of ``method`` on ``mats``:
+    the one dispatch of the serial facade and every executor chunk
+    (``stats_symbolic`` is ``None`` outside the hash family)."""
+    fn = _REGISTRY[method]
+    st = KernelStats()
+    if method not in BACKEND_AWARE_METHODS:
+        return fn(mats, stats=st, **kwargs), st, None
+    st_sym = KernelStats()
+    out = fn(mats, sorted_output=sorted_output, stats=st,
+             stats_symbolic=st_sym, **kwargs)
+    return out, st, st_sym
 
 
 def available_methods() -> Sequence[str]:
@@ -146,22 +142,20 @@ def spkadd(
         ``"instrumented"``.  Non-hash methods have no accumulation
         engine and reject an explicit ``backend`` with ``ValueError``.
     executor:
-        ``"thread"`` (shared-memory pool; NumPy kernels release the GIL),
-        ``"shm"`` (worker processes that sidestep the GIL entirely, fed
-        by the zero-copy ``multiprocessing.shared_memory`` engine:
-        inputs published once, chunks written into one shared output
-        buffer and compacted in place — see :mod:`repro.parallel.shm`), or
-        ``"serial"`` (an in-process loop, the fallback floor).  ``None``
+        ``"thread"`` (a thread pool; the kernels release the GIL),
+        ``"shm"`` (worker processes fed by the zero-copy
+        ``multiprocessing.shared_memory`` engine,
+        :mod:`repro.parallel.shm`), or ``"serial"`` (an in-process
+        loop, the fallback floor); every one writes its chunks into one
+        upper-bound output and compacts it in place.  ``None``
         (or ``"auto"``) consults the ``REPRO_EXECUTOR`` environment
         variable and then defaults to ``"thread"``.  Only consulted when
         ``threads > 1``.  The shm engine draws persistent workers from
         the pool registry (:mod:`repro.parallel.pools`), so repeated
         calls reuse warm workers; ``repro.shutdown_pools()`` releases
-        them.  shm results are **zero-copy**: the output
-        ``indices``/``data`` are views into the engine's shared segment,
-        kept alive by ``result.matrix.buffer_owner`` and unlinked when
-        the last view is garbage-collected; ``result.matrix.materialize()``
-        returns a private copy.
+        them.  shm results are **zero-copy** views into the engine's
+        shared segment, unlinked when the last view is collected;
+        ``result.matrix.materialize()`` returns a private copy.
     value_dtype:
         Optional override of the value dtype the sum is computed (and
         returned) in.  ``None`` preserves the inputs: the output dtype
@@ -243,16 +237,8 @@ def spkadd(
         # Serial hash-family kernels take the override directly; the
         # parallel branch above passes it as a named argument instead.
         kwargs.setdefault("index_dtype", index_dtype)
-    st = KernelStats()
-    runner = _REGISTRY[method]
-    if method in BACKEND_AWARE_METHODS:
-        out, st, st_sym = runner(
-            mats, sorted_output=sorted_output, stats=st, **kwargs
-        )
-        res = SpKAddResult(out, st, st_sym, method=method)
-    else:
-        out = runner(mats, stats=st, **kwargs)
-        res = SpKAddResult(out, st, None, method=method)
+    out, st, st_sym = _run_method(method, mats, sorted_output, kwargs)
+    res = SpKAddResult(out, st, st_sym, method=method)
     if index_dtype is not None and method not in BACKEND_AWARE_METHODS:
         # Methods without native index plumbing (heap, SPA, pairwise,
         # scipy baselines) emit the default-resolved width; an explicit
@@ -271,5 +257,5 @@ _register("scipy_incremental", spkadd_scipy_incremental)
 _register("scipy_tree", spkadd_scipy_tree)
 _register("heap", spkadd_heap)
 _register("spa", spkadd_spa)
-_register("hash", _run_hash)
-_register("sliding_hash", _run_sliding)
+_register("hash", spkadd_hash)
+_register("sliding_hash", spkadd_sliding_hash)

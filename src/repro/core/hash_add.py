@@ -168,6 +168,7 @@ def _spkadd_fast_fused(
     st: KernelStats,
     stats_symbolic: Optional[KernelStats],
     index_dtype=None,
+    out=None,
 ) -> CSCMatrix:
     """Single-pass SpKAdd of the fast backend (no symbolic phase).
 
@@ -179,6 +180,10 @@ def _spkadd_fast_fused(
     and still land in ``stats_symbolic`` so facade callers see a
     populated two-phase result.  Output columns are sorted even under
     ``sorted_output=False`` (sortedness is free here).
+
+    ``out=(indices, data)`` is a parallel chunk's output slot: the
+    kernel writes there, at the slot's index width, when the slot's
+    dtypes can hold the call's (the NumPy loop never does).
     """
     from repro.kernels import native
 
@@ -186,16 +191,22 @@ def _spkadd_fast_fused(
     n = shape[1]
     value_dtype = resolve_value_dtype(mats)
     idx_dtype = resolve_index_dtype(mats, index_dtype)
-    compiled = native.spkadd_columns(mats, value_dtype, idx_dtype)
+    if out is not None and out[1].dtype == value_dtype and np.can_cast(
+            idx_dtype, out[0].dtype):
+        idx_dtype = out[0].dtype
+    else:
+        out = None
+    compiled = native.spkadd_columns(mats, value_dtype, idx_dtype, out)
     if compiled is not None:
         indptr, indices, data, col_in = compiled
-        out = CSCMatrix(shape, indptr, indices, data, sorted=True, check=False)
+        matrix = CSCMatrix(shape, indptr, indices, data, sorted=True,
+                           check=False)
         col_out = np.diff(indptr).astype(np.int64, copy=False)
     else:
-        out, col_in, col_out = _fast_fused_numpy(
+        matrix, col_in, col_out = _fast_fused_numpy(
             mats, shape, block_cols, value_dtype, idx_dtype
         )
-    in_nnz, out_nnz = int(col_in.sum()), out.nnz
+    in_nnz, out_nnz = int(col_in.sum()), matrix.nnz
     st.input_nnz += in_nnz
     st.output_nnz += out_nnz
     st.bytes_read += in_nnz * ENTRY_BYTES
@@ -214,7 +225,7 @@ def _spkadd_fast_fused(
         st_sym.col_out_nnz = col_out.copy()
         st_sym.output_nnz = out_nnz
         st_sym.col_ops = col_in.astype(np.float64)
-    return out
+    return matrix
 
 
 def _fast_fused_numpy(mats, shape, block_cols, value_dtype, idx_dtype):
@@ -264,6 +275,7 @@ def spkadd_hash(
     trace_sink: Optional[List[TraceItem]] = None,
     backend: Optional[str] = None,
     index_dtype=None,
+    out=None,
 ) -> CSCMatrix:
     """Algorithm 5: add k sparse matrices with a (row, value) hash table.
 
@@ -290,6 +302,9 @@ def spkadd_hash(
         the dimensions and the summed input nnz fit — via
         :func:`repro.kernels.resolve_index_dtype`; an explicit int32
         that cannot hold the call transparently promotes.
+    out:
+        Internal: a parallel chunk's ``(indices, data)`` output slot
+        for the fused fast kernel; the instrumented engine ignores it.
     """
     check_nonempty(mats)
     shape = check_same_shape(mats)
@@ -305,6 +320,7 @@ def spkadd_hash(
             st=st,
             stats_symbolic=stats_symbolic,
             index_dtype=index_dtype,
+            out=out,
         )
     check_row_bounds(mats)
     if col_out_nnz is None:

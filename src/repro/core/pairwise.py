@@ -142,7 +142,7 @@ def spkadd_2way_incremental(
     st.algorithm = st.algorithm or "2way_incremental"
     # Call-level index width: every fold (and the k=1 add-free path)
     # emits the width resolved over the whole collection, matching the
-    # parallel executors' concatenation.
+    # parallel executors' output.
     idt = resolve_index_dtype(mats)
     mats = _prepare(mats, presort, st, idt)
     st.k = len(mats)

@@ -54,7 +54,7 @@ def _from_scipy_resolved(acc, mats) -> CSCMatrix:
 
     scipy picks its own index dtype per operation (int32 when its
     operands were, int64 otherwise), which need not match what every
-    other method — and the parallel executors' concatenation — resolves
+    other method — and the parallel executors' output — resolves
     for the call; the cast keeps the baseline bit-identical across
     serial and all executors.
     """

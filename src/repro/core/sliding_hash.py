@@ -278,6 +278,7 @@ def spkadd_sliding_hash(
     trace_sink: Optional[List[TraceItem]] = None,
     backend: Optional[str] = None,
     index_dtype=None,
+    out=None,
 ) -> CSCMatrix:
     """Algorithm 8: SpKAdd with cache-bounded sliding hash tables.
 
@@ -290,7 +291,8 @@ def spkadd_sliding_hash(
     ``"instrumented"`` runs both phases on row-partitioned probing
     tables, ``"fast"`` runs the fused single pass (sorted output, no
     ``col_out_nnz`` needed).  ``index_dtype`` pins the emitted index
-    width (default: the paper's int32-when-it-fits rule).
+    width (default: the paper's int32-when-it-fits rule); ``out`` is
+    as in :func:`repro.core.hash_add.spkadd_hash`.
     """
     check_nonempty(mats)
     check_row_bounds(mats)
@@ -309,6 +311,7 @@ def spkadd_sliding_hash(
             st=st,
             stats_symbolic=stats_symbolic,
             index_dtype=index_dtype,
+            out=out,
         )
         budget = (threads, cache_bytes, table_entries)
         st.parts = _budget_parts(st.col_out_nnz, ADD_ENTRY_BYTES, *budget)

@@ -58,17 +58,17 @@ def chunk_output_layout(
     column ``ranges`` assigned to each chunk, returns ``(indptr,
     offsets)`` where ``indptr`` is the output pointer array of ``B`` and
     ``offsets[i] = (lo, hi)`` is chunk ``i``'s slice of the output
-    ``indices``/``data`` arrays.  Every executor lays out its result
-    with it: the shared-memory engine moves each chunk down from its
-    input-nnz-sized slot of the output segment to ``offsets[i]``, in
-    place, and the thread and serial stages copy their chunk matrices
-    to the same offsets (``executor._concat_results``).
+    ``indices``/``data`` arrays.  Every executor stage lays out its
+    result with it (``executor._chunk_layout``): each chunk is written
+    into an input-nnz-sized slot of one upper-bound output and then
+    moved down to ``offsets[i]``, in place — through the segment's file
+    descriptor on shm, by slice moves in process.
 
     ``index_dtype`` sets the pointer width (``None`` = int64).  The
     cumulative sums are always formed in int64 first and the requested
     width is widened when the total overflows it, so an int32 request
-    against a >2**31-entry output promotes instead of wrapping — the
-    shared-memory engine's symbolic sizing relies on this guard.
+    against a >2**31-entry output promotes instead of wrapping — every
+    stage's symbolic sizing relies on this guard.
     """
     from repro.formats.compressed import min_index_dtype
 

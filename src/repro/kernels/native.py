@@ -342,7 +342,8 @@ def _build_and_load() -> Tuple[ctypes.CDLL, str]:
 
 
 def spkadd_columns(
-    mats: Sequence, value_dtype: np.dtype, index_dtype: np.dtype
+    mats: Sequence, value_dtype: np.dtype, index_dtype: np.dtype,
+    out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
     """``sum(mats)`` through the C kernel: ``(indptr, indices, data,
     col_in_nnz)`` with sorted columns, or ``None`` when the caller must
@@ -351,7 +352,9 @@ def spkadd_columns(
     Values sum in ``value_dtype`` and indices are emitted in
     ``index_dtype`` (both resolved by the caller for the whole call).
     The returned arrays hold exactly the output nnz and are the
-    caller's own, also when the call replays a cached plan.
+    caller's own, also when the call replays a cached plan — unless
+    ``out=(indices, data)`` (writable contiguous buffers of those dtypes
+    holding the summed input nnz) names where to write them.
     """
     lib = library()
     if lib is None:
@@ -377,6 +380,14 @@ def spkadd_columns(
         _check_indptr(p, n, ix, dv, "addend")
     counts = tuple(int(p[n]) - int(p[0]) for p in indptrs)
     total = sum(counts)
+    if out is not None and not all(
+            buf.size >= total and buf.flags.c_contiguous
+            and buf.flags.writeable and buf.dtype == dtype
+            for buf, dtype in zip(out, (index_dtype, value_dtype))):
+        raise ValueError(
+            f"output buffers must be writable contiguous {index_dtype} "
+            f"indices and {value_dtype} values of {total} entries"
+        )
     suffix = f"{_INDEX_CODES[in_dtype]}_{o_code}_{v_code}"
     # The addends' nnz ride in the key: they cost nothing here and spare
     # most snapshot comparisons of an unseen pattern.
@@ -389,7 +400,12 @@ def spkadd_columns(
     seen = _lookup(key, indptrs) if cacheable else None
     if seen is not None and seen.plan is not None:
         plan = seen.plan
-        data = np.empty(plan.rows.size, dtype=value_dtype)
+        nnz = plan.rows.size
+        if out is None:
+            rows, data = plan.rows.copy(), np.empty(nnz, dtype=value_dtype)
+        else:
+            rows, data = out[0][:nnz], out[1][:nnz]
+            rows[...] = plan.rows
         status = getattr(lib, f"repro_replay_{suffix}")(
             len(mats), n, _pointers(indptrs), _pointers(indices),
             _pointers(datas), plan.indptr.ctypes.data, plan.rows.ctypes.data,
@@ -397,15 +413,16 @@ def spkadd_columns(
         )
         if status == 0:
             _count("plan_hits")
-            return plan.indptr.copy(), plan.rows.copy(), data, plan.col_in.copy()
+            return plan.indptr.copy(), rows, data, plan.col_in.copy()
         _count("plan_rejects")
         # The rows changed under the same indptr: keep the snapshot as
         # a first sighting of the new pattern, and drop the plan.
         _publish(_Pattern(key, seen.indptrs), replacing=seen)
         seen, cacheable = None, False
     out_indptr = np.empty(n + 1, dtype=index_dtype)
-    out_indices = np.empty(total, dtype=index_dtype)
-    out_data = np.empty(total, dtype=value_dtype)
+    out_indices, out_data = out if out is not None else (
+        np.empty(total, dtype=index_dtype), np.empty(total, dtype=value_dtype)
+    )
     col_in = np.empty(n, dtype=np.int64)
     slots = np.empty(total, dtype=index_dtype) if seen is not None else None
     nnz = getattr(lib, f"repro_spkadd_{suffix}")(
@@ -420,7 +437,9 @@ def spkadd_columns(
         raise ValueError(f"an addend has a row index outside [0, {m})")
     if nnz < 0:
         raise MemoryError("native SpKAdd kernel could not allocate its tables")
-    if nnz < total:
+    if out is not None:
+        out_indices, out_data = out_indices[:nnz], out_data[:nnz]
+    elif nnz < total:
         # Shrink the upper-bound buffers in place (realloc), so only
         # nnz(B) entries stay allocated.
         out_indices.resize(nnz, refcheck=False)

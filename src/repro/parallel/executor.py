@@ -1,26 +1,29 @@
 """Executors: thread/shm column parallelism + simulated scaling.
 
 ``parallel_spkadd`` runs any SpKAdd method over column chunks on a
-worker pool — the paper's synchronization-free scheme (each worker gets
-column views of every addend and a private accumulator).  Three
-executors:
+worker pool — the paper's synchronization-free scheme (Section III-A):
+each worker gets column views of every addend and a private
+accumulator, and writes its columns into its own disjoint slice of one
+preallocated output.  Every stage runs that one output path: chunk
+``[j0, j1)`` owns slot ``[ub[j0], ub[j1])`` of an output of ``ub[-1]``
+entries (``ub``, the prefix sum of per-column input nnz, bounds the
+output), :func:`_write_slot` runs it there, the chunks' counts give the
+exact layout (:func:`_chunk_layout`), and the output is compacted in
+place.  Three executors:
 
 ``executor="thread"``
     ``ThreadPoolExecutor`` over zero-copy column views (CSC keeps
-    columns contiguous).  NumPy kernels release the GIL for large array
-    operations, so real (if modest, in Python) speedups are observed.
+    columns contiguous); the compiled kernel and NumPy's large array
+    operations release the GIL.  The output is compacted in process.
 
 ``executor="shm"``
     The zero-copy shared-memory engine (:mod:`repro.parallel.shm`):
     inputs are published to ``multiprocessing.shared_memory`` segments
-    once, workers write their chunks into disjoint slots of one shared
-    output buffer sized by input nnz, in one wave, and the parent
-    compacts the buffer in place to the exact layout the chunks'
-    symbolic counts give — no per-chunk pickling, no gather
-    concatenate.  Its
-    worker processes sidestep the GIL (which matters for the
-    instrumented backend, whose probing rounds are Python-bound) and
-    are **persistent**: they come from the registry in
+    once, the output is a shared segment, and the parent compacts it
+    through its file descriptor — no per-chunk pickling.  Its worker
+    processes sidestep the GIL (which matters for the instrumented
+    backend, whose probing rounds are Python-bound) and are
+    **persistent**: they come from the registry in
     :mod:`repro.parallel.pools`, so repeated calls reuse warm forkserver
     workers (:func:`repro.parallel.pools.shutdown_pools` releases them).
 
@@ -40,7 +43,8 @@ whole call, and an executor found *unusable* (boot timeout, retry
 budget exhausted, ``/dev/shm`` full) degrades down the chain
 ``shm → thread → serial`` with a one-shot warning (``REPRO_FALLBACK``
 controls the chain).  Every stage runs its tasks through the one retry
-loop, :func:`~repro.parallel.resilience.run_wave`.
+loop, :func:`~repro.parallel.resilience.run_wave`; a retry rewrites
+its chunk's slot only after the failed attempt's workers are joined.
 
 The *shape* of scaling behaviour at paper fidelity comes from
 ``simulate_parallel_time``, which the machine cost model uses for Fig 3.
@@ -55,7 +59,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -255,77 +259,98 @@ def _total_col_nnz(mats: Sequence[CSCMatrix]) -> np.ndarray:
     return out
 
 
-def _concat_results(mats, parts, index_dtype=None):
-    """Stitch per-chunk result matrices (disjoint column ranges) back
-    into one CSC matrix.
+def _slot_bounds(mats: Sequence[CSCMatrix]) -> np.ndarray:
+    """``ub[j]``: the summed input nnz of columns ``[0, j)``.  Chunk
+    ``[j0, j1)`` owns output slot ``[ub[j0], ub[j1])``: SpKAdd output
+    is the structural union of its inputs, so the slot holds it."""
+    ub = np.zeros(mats[0].shape[1] + 1, dtype=np.int64)
+    np.cumsum(_total_col_nnz(mats), out=ub[1:])
+    return ub
 
-    The layout comes from the chunks' column counts through
-    :func:`~repro.core.symbolic.chunk_output_layout`, the rule the shm
-    engine uses, at the index width resolved over the full call (plus
-    the caller's override): chunk kernels resolve their width from
-    *chunk* bounds and may come back narrower, but every executor emits
-    one dtype.
+
+def _run_chunk(method, j0, views, sorted_output, kwargs):
+    """Execute one column chunk through the facade's dispatch: every
+    stage's kernel entry point, reached through :func:`_write_slot`.
+    Returns ``(j0, matrix, stats, stats_symbolic)``."""
+    from repro.core.api import _run_method
+
+    out, st, st_sym = _run_method(method, views, sorted_output, kwargs)
+    return j0, out, st, st_sym
+
+
+def _write_slot(method, j0, views, sorted_output, kwargs, slot):
+    """Run chunk ``[j0, j1)`` into its output slot ``(indices, data)``:
+    every stage's chunk writer.  Hash-family chunks get the slot as
+    ``out=``, so the compiled kernel and its plan replay write straight
+    into it; a private chunk (the NumPy loop, the instrumented engine,
+    other methods) is checked and copied in.  Returns ``(j0, counts,
+    sorted, stats, stats_symbolic)``; a retry rewrites the same bytes.
     """
-    from repro.core.symbolic import chunk_output_layout
-    from repro.kernels import resolve_index_dtype, resolve_value_dtype
+    from repro.core.api import BACKEND_AWARE_METHODS
+    from repro.parallel.resilience import ChunkInvariantError
 
-    m, n = mats[0].shape
-    chunks = sorted(parts, key=lambda p: p[0])
-    ranges = [(j0, j0 + sub.shape[1]) for j0, sub in chunks]
-    col_nnz = np.zeros(n, dtype=np.int64)
-    for (j0, j1), (_, sub) in zip(ranges, chunks):
-        col_nnz[j0:j1] = np.diff(sub.indptr)
-    indptr, offsets = chunk_output_layout(
-        col_nnz, ranges, index_dtype=resolve_index_dtype(mats, index_dtype)
-    )
-    indices = np.empty(int(indptr[-1]), dtype=indptr.dtype)
-    data = np.empty(int(indptr[-1]), dtype=resolve_value_dtype(mats))
-    for (lo, hi), (_, sub) in zip(offsets, chunks):
-        indices[lo:hi] = sub.indices
-        data[lo:hi] = sub.data
-    return CSCMatrix(
-        (m, n),
-        indptr,
-        indices,
-        data,
-        sorted=all(s.sorted for _, s in chunks),
-        check=False,
-    )
-
-
-def _run_chunk(
-    method: str,
-    j0: int,
-    views: Sequence[CSCMatrix],
-    sorted_output: bool,
-    kwargs: dict,
-) -> Tuple[int, CSCMatrix, KernelStats, Optional[KernelStats]]:
-    """Execute one column chunk (every stage's kernel entry point; the
-    shm workers call it on their attached views)."""
-    from repro.core.api import BACKEND_AWARE_METHODS, _REGISTRY
-
-    runner = _REGISTRY[method]
-    st = KernelStats()
+    idx_slot, dat_slot = slot
     if method in BACKEND_AWARE_METHODS:
-        out, st, st_sym = runner(
-            views, sorted_output=sorted_output, stats=st, **kwargs
+        kwargs = {**kwargs, "out": slot}
+    _, sub, st, st_sym = _run_chunk(method, j0, views, sorted_output, kwargs)
+    where = f"chunk [{j0}, {j0 + sub.shape[1]})"
+    if sub.nnz > idx_slot.size:
+        raise ChunkInvariantError(
+            f"{where} produced {sub.nnz} entries, more than its input-nnz "
+            f"bound {idx_slot.size}: the kernel broke the structural union"
         )
-        return j0, out, st, st_sym
-    out = runner(views, stats=st, **kwargs)
-    return j0, out, st, None
+    # The slot holds the call-level dtypes the kernels emit in.  A
+    # widening cast is fine (a private chunk resolves its index width
+    # from its own, smaller bounds); a lossy one would round or wrap.
+    for got, slot_arr, what, loss in (
+        (sub.data, dat_slot, "values", "lose precision"),
+        (sub.indices, idx_slot, "indices", "wrap indices"),
+    ):
+        if not np.can_cast(got.dtype, slot_arr.dtype, casting="safe"):
+            raise ChunkInvariantError(
+                f"{where} emitted {got.dtype} {what} into a "
+                f"{slot_arr.dtype} output: writing would {loss}"
+            )
+    if not np.may_share_memory(sub.data, dat_slot):
+        idx_slot[: sub.nnz] = sub.indices
+        dat_slot[: sub.nnz] = sub.data
+    return j0, np.diff(sub.indptr), bool(sub.sorted), st, st_sym
+
+
+def _chunk_layout(results, ranges, ub, index_dtype):
+    """``(indptr, moves, stat_items, sorted)`` from the slot writers'
+    returns (every stage's one ``symbolic.chunk_output_layout`` call);
+    ``moves``: ``((lo, hi), slot start)`` per chunk, ascending."""
+    import repro.core.symbolic as symbolic
+
+    col_nnz = np.zeros(len(ub) - 1, dtype=np.int64)
+    stat_items = []
+    is_sorted = True
+    for j0, counts, chunk_sorted, st, st_sym in results:
+        col_nnz[j0 : j0 + counts.size] = counts
+        stat_items.append((j0, st, st_sym))
+        is_sorted = is_sorted and chunk_sorted
+    # index_dtype holds the summed input nnz, so the exact layout comes
+    # back in the same width.
+    indptr, offsets = symbolic.chunk_output_layout(
+        col_nnz, ranges, index_dtype=index_dtype
+    )
+    moves = sorted(zip(offsets, (int(ub[j0]) for j0, _ in ranges)))
+    return indptr, moves, stat_items, is_sorted
 
 
 def _chunk(task):
     """A thread/serial stage task: apply the fault the plan shipped
-    with it, then run :func:`_run_chunk` under the caller's floating-point
-    error state (``np.errstate`` is thread-local, so a pool thread would
-    otherwise warn where the serial call stays silent)."""
+    with it, then run :func:`_write_slot` under the caller's
+    floating-point error state (``np.errstate`` is thread-local, so a
+    pool thread would otherwise warn where the serial call stays
+    silent)."""
     from repro.parallel.faults import apply_chunk_fault
 
-    fault, errstate, method, j0, views, sorted_output, kwargs = task
+    fault, errstate, method, j0, views, sorted_output, kwargs, slot = task
     apply_chunk_fault(fault)
     with np.errstate(**errstate):
-        return _run_chunk(method, j0, views, sorted_output, kwargs)
+        return _write_slot(method, j0, views, sorted_output, kwargs, slot)
 
 
 #: set once the first executor fallback of the process has been
@@ -378,10 +403,10 @@ class _InlineSubmitter:
 
 @contextlib.contextmanager
 def _thread_pool(threads: int):
-    """A per-call thread pool.  On error it is shut down without
-    joining: a delayed chunk must not hold a DeadlineExceeded past the
-    deadline; chunks still running finish on their own and are
-    discarded."""
+    """A thread pool for one wave attempt.  On error it is shut down
+    without joining: a delayed chunk must not hold a DeadlineExceeded
+    past the deadline; chunks still running finish on their own and
+    are discarded."""
     pool = ThreadPoolExecutor(max_workers=threads)
     try:
         yield pool
@@ -391,25 +416,25 @@ def _thread_pool(threads: int):
     pool.shutdown(wait=True)
 
 
-def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
-                   threads, index_dtype, policy, deadline, plan):
-    """Run the call on one fallback stage; returns ``(out,
-    stat_items)``.  The shm engine assembles its own output matrix; the
-    thread and serial stages stitch their chunk matrices with
-    :func:`_concat_results`.
-    """
+def _execute_stage(stage, mats, method, ranges, *, ub, sorted_output,
+                   kwargs, threads, index_dtype, policy, deadline, plan):
+    """Run the call on one fallback stage (the module docstring's one
+    output path); returns ``(out, stat_items)``."""
     if stage == "shm":
-        from repro.parallel.shm import shm_parallel_run
+        from repro.parallel import shm
 
-        out, stat_items = shm_parallel_run(
+        return shm.shm_parallel_run(
             mats, method, ranges,
             sorted_output=sorted_output, kwargs=kwargs, threads=threads,
             index_dtype=index_dtype, policy=policy, deadline=deadline,
-            fault_plan=plan,
+            fault_plan=plan, ub=ub,
         )
-        return out, stat_items
+    from repro.kernels import resolve_index_dtype, resolve_value_dtype
     from repro.parallel.resilience import run_wave
 
+    idx_dtype = resolve_index_dtype(mats, index_dtype)
+    indices = np.empty(int(ub[-1]), dtype=idx_dtype)
+    data = np.empty(int(ub[-1]), dtype=resolve_value_dtype(mats))
     errstate = np.geterr()
 
     def make_task(i):
@@ -422,27 +447,31 @@ def _execute_stage(stage, mats, method, ranges, *, sorted_output, kwargs,
             if plan is not None else None
         )
         views = [A.col_view(j0, j1) for A in mats]
-        return fault, errstate, method, j0, views, sorted_output, kwargs
+        slot = (indices[ub[j0]:ub[j1]], data[ub[j0]:ub[j1]])
+        return fault, errstate, method, j0, views, sorted_output, kwargs, slot
 
-    def wave(lease, label):
-        return run_wave(
-            lease, _chunk, make_task, len(ranges),
-            policy=policy, deadline=deadline, label=label,
-        )
-
-    if stage == "thread":
-        with _thread_pool(threads) as pool:
-            results = wave(lambda: contextlib.nullcontext(pool),
-                           "thread chunk")
-    else:
-        results = wave(
-            lambda: contextlib.nullcontext(_InlineSubmitter(deadline)),
-            "serial chunk",
-        )
-    out = _concat_results(
-        mats, [(j0, sub) for j0, sub, _, _ in results], index_dtype
+    # A thread pool per attempt: a clean lease exit joins the attempt's
+    # running chunks, so no stale writer overlaps a retry of its slot or
+    # outlives the wave into the compaction.
+    results = run_wave(
+        (lambda: _thread_pool(threads)) if stage == "thread"
+        else (lambda: contextlib.nullcontext(_InlineSubmitter(deadline))),
+        _chunk, make_task, len(ranges),
+        policy=policy, deadline=deadline, label=f"{stage} chunk",
     )
-    return out, [(j0, st, st_sym) for j0, _, st, st_sym in results]
+    indptr, moves, stat_items, is_sorted = _chunk_layout(
+        results, ranges, ub, idx_dtype
+    )
+    for (lo, hi), src in moves:
+        if lo != src:
+            indices[lo:hi] = indices[src : src + hi - lo]
+            data[lo:hi] = data[src : src + hi - lo]
+    # Realloc down to nnz(B); no view of the upper-bound arrays is left.
+    indices.resize(int(indptr[-1]), refcheck=False)
+    data.resize(int(indptr[-1]), refcheck=False)
+    return CSCMatrix(
+        mats[0].shape, indptr, indices, data, sorted=is_sorted, check=False
+    ), stat_items
 
 
 def parallel_spkadd(
@@ -511,17 +540,17 @@ def parallel_spkadd(
         kwargs.pop("backend", None)
     elif index_dtype is not None:
         # Hash-family chunk kernels accept the override directly; other
-        # methods' chunks self-resolve and the concatenation / shm
-        # output buffer enforces the call-level width.
+        # methods' chunks self-resolve and their output slot enforces
+        # the call-level width.
         kwargs.setdefault("index_dtype", index_dtype)
     if method == "sliding_hash" and "cache_bytes" in kwargs:
         # The sliding cache-budget rule needs the worker count.
         kwargs.setdefault("threads", threads)
     n = mats[0].shape[1]
-    weights = _total_col_nnz(mats)
+    ub = _slot_bounds(mats)
     n_chunks = max(min(threads * CHUNKS_PER_THREAD, n), 1)
     ranges = [
-        (j0, j1) for j0, j1 in split_weighted(weights, n_chunks) if j1 > j0
+        (j0, j1) for j0, j1 in split_weighted(np.diff(ub), n_chunks) if j1 > j0
     ]
 
     policy = resolve_policy(resilience, deadline=deadline)
@@ -535,7 +564,7 @@ def parallel_spkadd(
         dl.check(f"start of {stage!r} executor stage")
         try:
             out, stat_items = _execute_stage(
-                stage, mats, method, ranges,
+                stage, mats, method, ranges, ub=ub,
                 sorted_output=sorted_output, kwargs=kwargs,
                 threads=threads, index_dtype=index_dtype,
                 policy=policy, deadline=dl, plan=plan,

@@ -8,21 +8,19 @@ in **one wave** (the paper's Section III-A scheme: chunks own disjoint
 output slices, so nothing synchronizes):
 
 1. the parent **publishes** the k input CSC arrays into one named
-   shared segment *once* per call, and allocates one output segment
-   sized by the summed input nnz (an exact upper bound: SpKAdd output
-   is the structural union of its inputs);
-2. workers **attach** and compute their column chunks on zero-copy
-   views of the inputs, writing chunk ``i`` into its slot
-   ``[ub[i], ub[i+1])`` of the output (``ub`` is the prefix sum of the
-   chunks' input nnz) and returning only the per-column output counts
-   — the **symbolic sizing** of the result;
-3. the parent turns the counts into the exact layout
-   (:func:`repro.core.symbolic.chunk_output_layout`) and **compacts in
+   shared segment *once* per call, and allocates the call's upper-bound
+   output (``ub[-1]`` entries, see :mod:`repro.parallel.executor`) as
+   one output segment;
+2. workers **attach** and run their chunks on zero-copy views of the
+   inputs through the executors' one slot writer
+   (:func:`repro.parallel.executor._write_slot`), returning only the
+   per-column output counts — the **symbolic sizing** of the result;
+3. the parent turns the counts into the exact layout and **compacts in
    place** (:meth:`SegmentRegistry.compact`).
 
-Chunk results are produced by the same ``_run_chunk`` the thread pool
-and the serial floor use, so the assembled matrix (and the merged
-stats) are bit-identical across all executors and both kernel backends.
+The thread and serial stages run the same writer and layout in
+process, so the result (and the merged stats) are bit-identical across
+all executors and both kernel backends.
 
 Engine lifecycle (:class:`SharedMemoryPool`): workers come from the
 persistent pool registry (:mod:`repro.parallel.pools`) and are **reused
@@ -291,25 +289,21 @@ class SegmentRegistry:
             del self._views[spec]
         return seg
 
-    def compact(
-        self,
-        specs: Sequence[SharedArraySpec],
-        slots: Sequence[int],
-        offsets: Sequence[Tuple[int, int]],
-    ) -> None:
-        """Move chunk ``i``'s entries of every array in ``specs`` (one
-        segment) down from index ``slots[i]`` to ``offsets[i]``, in
-        place, and release the pages past the compacted prefix.
+    def compact(self, specs: Sequence[SharedArraySpec], moves) -> None:
+        """Apply ``moves`` (``((lo, hi), src)`` in ascending order, from
+        :func:`repro.parallel.executor._chunk_layout`) to every array in
+        ``specs`` (one segment): entries ``[src, src + hi - lo)`` move
+        down to ``[lo, hi)`` in place, and the pages past the compacted
+        prefix are released.
 
-        Chunks move down in ascending offset order, so no move
-        overwrites a source that has not moved yet, and a forward block copy reads
-        each block before a later write can reach it.  The copy goes
+        Ascending order means no move overwrites a source that has not
+        moved yet, and a forward block copy reads each block before a
+        later write can reach it.  The copy goes
         through the segment's file descriptor, not the parent's mapping:
         mapping the sources would raise the parent's resident set by the
         slack between the upper bound and the exact size.
         """
         seg = self._segments[specs[0].name]
-        moves = sorted(zip(offsets, slots))
         total = moves[-1][0][1] if moves else 0
         itemsizes = [np.dtype(spec.dtype).itemsize for spec in specs]
         buf = memoryview(bytearray(min(total * max(itemsizes), _MOVE_BLOCK)))
@@ -516,18 +510,10 @@ def _worker_mats(state: dict) -> Sequence[CSCMatrix]:
 
 
 def _compute_chunk(task) -> tuple:
-    """Run the kernel on columns ``[j0, j1)`` of the shared inputs and
-    write the result into this chunk's slot ``[lo, hi)`` of the output
-    segment.
-
-    Returns the symbolic sizing of the chunk (exact per-column output
-    counts) plus the chunk stats; the values themselves stay in shared
-    memory and never cross the pipe.
-
-    Idempotent: the chunk owns its slot outright, so a retried task
-    (after a worker death) rewrites the identical bytes over whatever a
-    half-finished predecessor left behind.
-    """
+    """Run columns ``[j0, j1)`` of the shared inputs into this chunk's
+    slot ``[lo, hi)`` of the output segment through
+    :func:`repro.parallel.executor._write_slot`; only its counts and
+    stats cross the pipe, and a retried task rewrites the same bytes."""
     session, j0, j1, lo, hi, fault = task
     state = _ensure_session(session)
     if fault:
@@ -535,48 +521,16 @@ def _compute_chunk(task) -> tuple:
 
         apply_chunk_fault(fault)
     # Deferred: executor imports this module.
-    from repro.parallel.executor import _run_chunk
-    from repro.parallel.resilience import ChunkInvariantError
+    from repro.parallel.executor import _write_slot
 
-    views = [A.col_view(j0, j1) for A in _worker_mats(state)]
-    _, sub, st, st_sym = _run_chunk(
-        session["method"], j0, views, session["sorted_output"],
-        session["kwargs"],
-    )
     att = state["attach"]
     out_indices, out_data = session["out"]
-    idx_buf = att.attach(out_indices)[lo:hi]
-    dat_buf = att.attach(out_data)[lo:hi]
-    if sub.nnz > idx_buf.size:
-        raise ChunkInvariantError(
-            f"chunk [{j0}, {j1}) produced {sub.nnz} entries, more than its "
-            f"input-nnz bound {idx_buf.size} — kernel violated the "
-            "structural-union invariant"
-        )
-    # Output dtypes match the kernel's by construction (the parent
-    # sizes the segment from the same ``resolve_value_dtype`` /
-    # ``resolve_index_dtype`` rules the kernels emit in), so any value
-    # dtype — float32, exact int64, ... — lands without conversion.  A
-    # widening cast is tolerated: chunk kernels resolve their *chunk's*
-    # index bounds, which may come out one width below the call-level
-    # resolution used here.  A lossy cast (a kernel emitting wider
-    # values or indices than the parent resolved) would silently
-    # round/wrap, so it stays a hard error.
-    if not np.can_cast(sub.data.dtype, dat_buf.dtype, casting="safe"):
-        raise ChunkInvariantError(
-            f"chunk [{j0}, {j1}) emitted {sub.data.dtype} values but the "
-            f"shared output is {dat_buf.dtype}; the kernel disagrees "
-            "with resolve_value_dtype — writing would lose precision"
-        )
-    if not np.can_cast(sub.indices.dtype, idx_buf.dtype, casting="safe"):
-        raise ChunkInvariantError(
-            f"chunk [{j0}, {j1}) emitted {sub.indices.dtype} indices but "
-            f"the shared output is {idx_buf.dtype}; the kernel disagrees "
-            "with resolve_index_dtype — writing would wrap indices"
-        )
-    idx_buf[: sub.nnz] = sub.indices
-    dat_buf[: sub.nnz] = sub.data
-    return j0, np.diff(sub.indptr), bool(sub.sorted), st, st_sym
+    views = [A.col_view(j0, j1) for A in _worker_mats(state)]
+    slot = (att.attach(out_indices)[lo:hi], att.attach(out_data)[lo:hi])
+    return _write_slot(
+        session["method"], j0, views, session["sorted_output"],
+        session["kwargs"], slot,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -661,13 +615,15 @@ class SharedMemoryPool:
         policy=None,
         deadline=None,
         fault_plan=None,
+        ub=None,
     ):
         """Execute ``method`` over ``ranges`` on the shared-memory pool.
 
         Returns ``(matrix, stat_items)`` with ``stat_items`` a list of
         ``(j0, stats, stats_symbolic)`` per chunk, chunk-identical to
         what the thread and serial executors produce.  The matrix's
-        arrays are zero-copy views into the output segment.
+        arrays are zero-copy views into the output segment.  ``ub``:
+        the call's slot bounds (``executor._slot_bounds`` when omitted).
 
         ``policy``/``deadline`` bound the call
         (:mod:`repro.parallel.resilience`; both default to the
@@ -688,15 +644,16 @@ class SharedMemoryPool:
                 sorted_output=sorted_output, kwargs=kwargs,
                 threads=threads, index_dtype=index_dtype,
                 policy=policy, deadline=deadline, fault_plan=fault_plan,
+                ub=ub,
             )
 
     def _run_locked(
         self, mats, method, ranges, *, sorted_output, kwargs, threads,
         index_dtype=None, policy=None, deadline=None, fault_plan=None,
+        ub=None,
     ):
-        from repro.core.symbolic import chunk_output_layout
         from repro.kernels import resolve_index_dtype, resolve_value_dtype
-        from repro.parallel.executor import _total_col_nnz
+        from repro.parallel.executor import _chunk_layout, _slot_bounds
         from repro.parallel.resilience import run_wave
 
         m, n = mats[0].shape
@@ -707,11 +664,8 @@ class SharedMemoryPool:
         # int64, and int64 sums land exactly.
         value_dtype = resolve_value_dtype(mats)
         idx_dtype = resolve_index_dtype(mats, index_dtype)
-        # Chunk [j0, j1) writes into slot [ub[j0], ub[j1]) of the output,
-        # sized by its summed input nnz — an exact upper bound on its
-        # output nnz.
-        ub = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(_total_col_nnz(mats), out=ub[1:])
+        if ub is None:
+            ub = _slot_bounds(mats)
         registry = SegmentRegistry(fault_plan=fault_plan)
         try:
             deadline.check("shm input publish")
@@ -748,28 +702,15 @@ class SharedMemoryPool:
                 )
                 return (session, j0, j1, int(ub[j0]), int(ub[j1]), fault)
 
-            def lease():
-                return self._lease_pool(threads, deadline=deadline)
-
-            col_nnz = np.zeros(n, dtype=np.int64)
-            stat_items = []
-            sorted_flags = []
-            for j0, counts, sub_sorted, st, st_sym in run_wave(
-                lease, _compute_chunk, compute_task, len(ranges),
+            results = run_wave(
+                lambda: self._lease_pool(threads, deadline=deadline),
+                _compute_chunk, compute_task, len(ranges),
                 policy=policy, deadline=deadline, label="shm compute",
-            ):
-                col_nnz[j0 : j0 + counts.size] = counts
-                stat_items.append((j0, st, st_sym))
-                sorted_flags.append(sub_sorted)
-            # idx_dtype holds the summed input nnz, so the exact layout
-            # comes back in the same width.
-            indptr, offsets = chunk_output_layout(
-                col_nnz, ranges, index_dtype=idx_dtype
             )
-            registry.compact(
-                (out_indices, out_data), [int(ub[j0]) for j0, _ in ranges],
-                offsets,
+            indptr, moves, stat_items, is_sorted = _chunk_layout(
+                results, ranges, ub, idx_dtype
             )
+            registry.compact((out_indices, out_data), moves)
             total = int(indptr[-1])
             deadline.check("shm result assembly")
             # Zero-copy: hand the output segment to a keep-alive owner
@@ -783,7 +724,7 @@ class SharedMemoryPool:
                 indptr,
                 owner.adopt(replace(out_indices, size=total)),
                 owner.adopt(replace(out_data, size=total)),
-                sorted=all(sorted_flags),
+                sorted=is_sorted,
                 check=False,
             )
             out.buffer_owner = owner
@@ -824,11 +765,12 @@ def shm_parallel_run(
     policy=None,
     deadline=None,
     fault_plan=None,
+    ub=None,
 ):
     """Run on the module's default :class:`SharedMemoryPool` engine."""
     return _DEFAULT_ENGINE.run(
         mats, method, ranges,
         sorted_output=sorted_output, kwargs=kwargs, threads=threads,
         index_dtype=index_dtype, policy=policy, deadline=deadline,
-        fault_plan=fault_plan,
+        fault_plan=fault_plan, ub=ub,
     )

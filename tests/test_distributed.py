@@ -252,6 +252,33 @@ class TestPromotedConformance:
             f"{'sorted' if sorted_im else 'unsorted'}",
         )
 
+    @pytest.mark.parametrize("executor", ["thread", "shm"])
+    def test_float_pool_merge_bit_identical_to_serial(self, executor):
+        """The numerical contract through the SUMMA merge: A carries the
+        adversarial :data:`tests.test_native.FLOAT_POOL` values, so the
+        intermediates the merge adds hold NaN, inf, signed zeros and
+        subnormals; the promoted plan's parallel merges must give the
+        serial plan's bytes."""
+        from tests.test_native import FLOAT_POOL
+
+        rng = np.random.default_rng(41)
+        A, B = _operands(np.float64)
+        A = CSCMatrix(A.shape, A.indptr, A.indices,
+                      rng.choice(np.array(FLOAT_POOL), A.nnz),
+                      sorted=A.sorted, check=False)
+        B = CSCMatrix(B.shape, B.indptr, B.indices,
+                      rng.choice(np.array([1.0, -1.0, 0.5, 2.0]), B.nnz),
+                      sorted=B.sorted, check=False)
+        grid = ProcessGrid(*self.GRID)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            ref = summa_spgemm(A, B, grid=grid, stages=self.STAGES)
+            got = summa_spgemm(
+                A, B, grid=grid, stages=self.STAGES,
+                plan=ExecutionPlan.production(executor=executor),
+            )
+        assert np.isnan(ref.assemble().data).any()
+        assert_bit_identical(got.assemble(), ref.assemble(), executor)
+
     def test_loose_kwargs_build_promoted_plan(self):
         A, B = _operands(np.float64)
         res = summa_spgemm(

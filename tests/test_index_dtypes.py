@@ -409,16 +409,15 @@ class TestOverflowPromotion:
         assert out.indptr.dtype == np.int64  # 4 entries > lowered capacity
 
     @pytest.mark.parametrize("executor", ["thread", "serial"])
-    def test_concat_results_at_int32_layout_boundary(
+    def test_slot_layout_at_int32_layout_boundary(
         self, executor, monkeypatch
     ):
-        """ISSUE-5 satellite regression: ``_concat_results`` stitches
-        chunk ``indptr`` slices (rebased by a global offset) into the
-        call-resolved ``indptr``.  Pin the capacity to *exactly* the
-        call's bound, so the resolution keeps the narrowest width it
-        possibly can and the largest pointer entries land right at the
-        top of the layout — the assignment must cast through the
-        resolved dtype, never wrap."""
+        """The in-process stages lay their chunks out in the
+        call-resolved ``indptr`` from per-chunk counts.  Pin the
+        capacity to *exactly* the call's bound, so the resolution keeps
+        the narrowest width it possibly can and the largest pointer
+        entries land right at the top of the layout — the layout must
+        cast through the resolved dtype, never wrap."""
         mats = index_collection([np.int32] * 4, seed=23)
         total_in = sum(A.nnz for A in mats)
         ref = run(mats, executor)

@@ -64,6 +64,42 @@ def test_fuse_split_bit_identical_to_serial():
         assert_bit_identical(got, repro.spkadd(req.mats).matrix, "fused")
 
 
+def _float_pool_request(seed, dtype):
+    """Four 6-row addends of 40 entries each, values drawn from the
+    adversarial :data:`tests.test_native.FLOAT_POOL`, many duplicates."""
+    from tests.test_native import FLOAT_POOL, column_collection
+
+    rng = np.random.default_rng(seed)
+    columns = [
+        [(int(rng.integers(0, 6)), int(rng.integers(0, 8 + seed)),
+          FLOAT_POOL[int(rng.integers(0, len(FLOAT_POOL)))])
+         for _ in range(40)]
+        for _ in range(4)
+    ]
+    return _Req(column_collection(columns, 6, dtype))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("threads, executor", [
+    (1, None), (2, "serial"), (2, "thread"), (2, "shm"),
+])
+def test_fuse_split_float_pool_bit_identical_to_serial(
+    dtype, threads, executor
+):
+    """The numerical contract through the gateway's fuse/split: NaN,
+    inf, signed zeros, subnormals and cancellation come back byte for
+    byte as each request's own serial call gives them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        reqs = [_float_pool_request(s, dtype) for s in range(4)]
+        fused, spans = fuse_requests(reqs)
+        out = repro.spkadd(fused, threads=threads, executor=executor).matrix
+        parts = split_result(out, reqs, spans)
+        for i, (req, got) in enumerate(zip(reqs, parts)):
+            assert_bit_identical(
+                got, repro.spkadd(req.mats).matrix, f"request {i}"
+            )
+
+
 def test_split_recasts_to_solo_index_width(monkeypatch):
     """A request pinned to int64 must come back int64 even when the
     fused call resolves int32."""

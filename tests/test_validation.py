@@ -18,6 +18,8 @@ is a ``ValueError`` naming the addend and the row on every method and
 executor, and leaves no shared-memory segment behind.
 """
 
+import re
+
 import pytest
 
 import repro
@@ -96,6 +98,21 @@ def test_cli_refuses_removed_materialize_flag(capsys):
         build_parser().parse_args(["demo", "--materialize"])
     assert exc.value.code == 2
     assert "--materialize" in capsys.readouterr().err
+
+
+def test_cli_fallback_help_names_the_chain(capsys):
+    """``demo --help`` describes the 'auto' chain as exactly the stages
+    the resilience layer degrades through, in order."""
+    from repro.__main__ import build_parser
+    from repro.parallel.resilience import FALLBACK_STAGES
+
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["demo", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    chain = re.search(r"'auto' \(full (\S+) chain\)", text)
+    assert chain is not None, text
+    assert tuple(chain.group(1).split(">")) == FALLBACK_STAGES
 
 
 def test_cli_rejects_nonpositive_threads(capsys):
