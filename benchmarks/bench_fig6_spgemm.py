@@ -7,9 +7,10 @@ magnitude cheaper than heap; skipping the intermediate sort saves
 
 ``test_promoted_summa`` covers the production path the refactor adds:
 the same SUMMA dataflow on ``ExecutionPlan.production()`` (fast
-kernels, shm merges, rank concurrency + overlap), asserted bit-
-identical to the serial paper plan.  The figure benchmarks above stay
-pinned to the paper plan inside :func:`run_fig6`.
+kernels, merges on the resolved executor, rank concurrency + overlap),
+asserted bit-identical to the serial paper plan.  The figure
+benchmarks above stay pinned to the paper plan inside
+:func:`run_fig6`.
 """
 
 import pytest

@@ -655,12 +655,15 @@ def main(argv=None) -> int:
           f"micro-batched vs per-request (paired)")
     gw_wall = {leg: float("inf") for leg in gw_legs}
     gw_handles, gw_clients, gw_out = {}, {}, {}
+    # The series compares batching, not executors: the gateway's kernel
+    # calls stay in process whatever REPRO_EXECUTOR the leg runs under.
+    gw_env_executor = os.environ.pop("REPRO_EXECUTOR", None)
     try:
         for leg, knobs in gw_legs.items():
             cfg = GatewayConfig(
                 socket_path=(f"/tmp/repro-bench-gw-{os.getpid()}-"
                              f"{_uuid.uuid4().hex[:6]}.sock"),
-                executor="thread", threads=2, max_queue=2 * gw_burst,
+                threads=2, max_queue=2 * gw_burst,
                 **knobs,
             )
             gw_handles[leg] = start_in_thread(cfg)
@@ -695,6 +698,8 @@ def main(argv=None) -> int:
                 client.close()
         for handle in gw_handles.values():
             handle.stop()
+        if gw_env_executor is not None:
+            os.environ["REPRO_EXECUTOR"] = gw_env_executor
     for leg in gw_legs:
         records.append({
             "workload": f"gateway_b{gw_burst}_k{gw_k}_{leg}",
@@ -728,7 +733,9 @@ def main(argv=None) -> int:
     spg_grid = ProcessGrid(2, 2)
     spg_legs = {
         "serial": dict(plan=ExecutionPlan.paper()),
-        "fast_shm": dict(plan=ExecutionPlan.production(),
+        # Named explicitly: the production plan's merges otherwise
+        # follow REPRO_EXECUTOR, and this leg measures the shm merges.
+        "fast_shm": dict(plan=ExecutionPlan.production(executor="shm"),
                          sorted_intermediates=False),
     }
     print(f"spgemm series: SUMMA rmat m=2^14 d={spg_d} stages={spg_stages}, "

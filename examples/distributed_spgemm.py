@@ -6,7 +6,8 @@ printing the SUMMA stage structure of Fig 5 and the computation-phase
 comparison of Fig 6: heap SpKAdd vs sorted-hash vs unsorted-hash.
 
 The Fig 5/6 sections run on the **promoted** production path — fast
-kernels, shm merge executor, concurrent rank pipelines with
+kernels, parallel merges on the executor ``REPRO_EXECUTOR`` names
+(in-process threads by default), concurrent rank pipelines with
 multiply/merge overlap (``ExecutionPlan.production()``) — and the
 result is verified bit-for-bit against the serial paper plan: the
 refactor's central contract.
@@ -44,7 +45,7 @@ def main() -> None:
           "with SpKAdd\n")
 
     # Fig 5: the stage structure, on the promoted execution plan (fast
-    # kernels, shm merges, rank concurrency + overlap).
+    # kernels, parallel merges, rank concurrency + overlap).
     log = CommLog()
     t0 = time.perf_counter()
     res = summa_spgemm(
@@ -78,7 +79,7 @@ def main() -> None:
     assert matrices_equal(assembled, direct, atol=1e-9)
     print(f"verified: promoted result == direct SpGEMM (nnz={assembled.nnz}) "
           "and bit-identical to the serial paper plan")
-    print(f"wall time: promoted fast/shm {promoted_s:.3f}s vs paper "
+    print(f"wall time: promoted {promoted_s:.3f}s vs paper "
           f"serial/instrumented {paper_s:.3f}s "
           f"({paper_s / max(promoted_s, 1e-9):.1f}x)\n")
 

@@ -158,7 +158,6 @@ def _cmd_serve(args) -> int:
     config = GatewayConfig(
         socket_path=args.socket,
         threads=args.threads,
-        executor=args.executor,
         small_nnz=args.small_nnz,
         batch_window_s=args.batch_window_ms / 1000.0,
         batch_max=args.batch_max,
@@ -244,7 +243,8 @@ def _serve_selftest(config, burst: int) -> int:
                 and np.array_equal(got.data, expect.data)):
             failures.append("large request: response != serial spkadd")
 
-    print(f"selftest: {stats['completed']} completed, "
+    print(f"selftest [executor={stats['executor']}]: "
+          f"{stats['completed']} completed, "
           f"{stats['batches']} fused calls "
           f"(fused_k_max={stats['fused_k_max']}), "
           f"{stats['solo_calls']} solo calls, shed={stats['shed']}, "
@@ -360,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unix socket path to listen on")
     s.add_argument("--threads", type=_positive_int, default=2,
                    help="worker count of the gateway's kernel calls")
-    s.add_argument("--executor",
-                   choices=["thread", "shm", "serial"],
-                   default="shm",
-                   help="executor for the gateway's kernel calls; shm "
-                        "pre-boots a dedicated pool pinned against "
-                        "registry eviction")
     s.add_argument("--small-nnz", type=int, default=1 << 15,
                    help="requests at or under this summed input nnz are "
                         "micro-batched into one fused high-k call")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import ceil, log2
-from typing import Dict, List
+from typing import List
 
 
 @dataclass
@@ -50,10 +50,6 @@ class CommLog:
     beta: float = 1.0 / 10e9  # 10 GB/s links
     events: List[CommEvent] = field(default_factory=list)
 
-    def bcast(self, stage: int, kind: str, root: int, group_size: int, nbytes: int) -> None:
-        """Record a broadcast by raw byte count (caller-computed)."""
-        self.events.append(CommEvent(stage, kind, root, group_size, nbytes))
-
     def bcast_block(self, stage: int, kind: str, root: int, group_size: int, block) -> None:
         """Record the broadcast of one sparse block.
 
@@ -83,9 +79,3 @@ class CommLog:
             rounds = ceil(log2(e.group_size))
             t += rounds * (self.alpha + e.bytes * self.beta)
         return t
-
-    def by_kind(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for e in self.events:
-            out[e.kind] = out.get(e.kind, 0) + e.bytes * max(e.group_size - 1, 0)
-        return out

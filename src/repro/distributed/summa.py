@@ -29,8 +29,8 @@ execute is an :class:`ExecutionPlan`:
   ``executor=`` / ``threads=`` / ``deadline=`` / ``resilience=``
   keywords of :func:`summa_spgemm`) promotes the run onto the
   production stack: merges go through ``parallel_spkadd`` on the
-  persistent pool registry (reservation-pinned for the whole run, the
-  gateway's pattern), rank pipelines run concurrently, and each rank's
+  executor :func:`repro.spkadd` would pick (``REPRO_EXECUTOR``, else
+  in-process threads), rank pipelines run concurrently, and each rank's
   merge is submitted asynchronously
   (:func:`repro.parallel.executor.submit_spkadd`) so the local
   multiplies of the next ranks overlap the merges in flight.
@@ -44,7 +44,6 @@ the tests.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -107,8 +106,9 @@ class ExecutionPlan:
         merge calls (chunk retry, fallback chain); ``None`` resolves
         from the environment per call.
 
-    shm merges return zero-copy segment-backed blocks (see
-    :func:`repro.spkadd`).
+    Merges on an explicit ``executor="shm"`` lease the persistent
+    worker pool per merge and return zero-copy segment-backed blocks
+    (see :func:`repro.spkadd`).
     """
 
     backend: Optional[str] = None
@@ -158,14 +158,16 @@ class ExecutionPlan:
         cls,
         *,
         backend: str = "fast",
-        executor: str = "shm",
+        executor: Optional[str] = None,
         threads: int = DEFAULT_MERGE_THREADS,
         rank_parallelism: int = DEFAULT_RANK_PARALLELISM,
         overlap: bool = True,
         deadline=None,
         resilience=None,
     ) -> "ExecutionPlan":
-        """The promoted defaults: fast kernels, shm merges, overlap on."""
+        """The promoted defaults: fast kernels, parallel merges on the
+        resolved executor (``REPRO_EXECUTOR``, else ``"thread"``),
+        concurrent rank pipelines, overlap on."""
         return cls(
             backend=backend, executor=executor, threads=threads,
             rank_parallelism=rank_parallelism, overlap=overlap,
@@ -445,25 +447,13 @@ def _run_pipelined(
     operations).  With ``overlap``, each rank's merge is submitted through
     :func:`~repro.parallel.executor.submit_spkadd` the moment its last
     stage product lands, so the multiplies of the following ranks
-    overlap the merges executing on the worker pools.  The shm merge
-    executor's pool is **reservation-pinned** for the whole run (the
-    gateway's pattern): all concurrent rank merges share one warm pool
-    that LRU eviction cannot touch mid-run.
+    overlap the merges executing on the plan's executor.
     """
-    from repro.parallel.executor import resolve_executor, submit_spkadd
-    from repro.parallel.pools import reserve_pool
+    from repro.parallel.executor import submit_spkadd
 
-    with ExitStack() as stack:
-        if plan.threads > 1:
-            if resolve_executor(plan.executor) == "shm":
-                stack.enter_context(reserve_pool(plan.threads, deadline=dl))
-        rank_pool = stack.enter_context(
-            ThreadPoolExecutor(
-                max_workers=plan.rank_parallelism,
-                thread_name_prefix="summa-rank",
-            )
-        )
-
+    with ThreadPoolExecutor(
+        max_workers=plan.rank_parallelism, thread_name_prefix="summa-rank",
+    ) as rank_pool:
         if not plan.overlap:
             futs = {
                 rank_pool.submit(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
-from typing import Dict
 
 from repro.distributed.summa import SummaResult
 from repro.machine.costmodel import CostModel
@@ -71,21 +70,3 @@ def spgemm_phase_times(
         spkadd=worst_add,
         comm_estimate=result.comm.estimated_seconds,
     )
-
-
-def fig6_rows(
-    results: Dict[str, SummaResult],
-    machine: MachineSpec,
-    *,
-    threads_per_process: int = 8,
-    cost_model: CostModel | None = None,
-) -> Dict[str, SpGEMMPhaseTimes]:
-    """Phase times for a set of configurations (Fig 6 bars)."""
-    return {
-        name: spgemm_phase_times(
-            res, machine,
-            threads_per_process=threads_per_process,
-            cost_model=cost_model,
-        )
-        for name, res in results.items()
-    }

@@ -26,7 +26,7 @@ compare with the paper's x-axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.calibration import calibrated_cost_model
 from repro.experiments.config import PAPER, ReproScale
@@ -68,9 +68,6 @@ class HashSizeSweep:
     def optimum_entries(self) -> int:
         best = min(range(len(self.total)), key=lambda i: self.total[i])
         return self.table_entries[best]
-
-    def paper_scale_entries(self, scale_m: int) -> List[int]:
-        return [e * scale_m for e in self.table_entries]
 
     def to_text(self) -> str:
         return format_series(

@@ -385,7 +385,6 @@ class ForkSafety(Rule):
         "Pool",
         "get_pool",
         "lease_pool",
-        "reserve_pool",
     }
     _START_METHOD_CALLS = {"get_context", "set_start_method"}
     _SCRIPT_DIRS = ("examples/", "benchmarks/")
@@ -468,7 +467,6 @@ class DeadlineThreading(Rule):
     _BLOCKING = {
         "get_pool",
         "lease_pool",
-        "reserve_pool",
         "collect_resilient",
         "run_wave",
         "shm_parallel_run",
@@ -480,7 +478,6 @@ class DeadlineThreading(Rule):
     _DEADLINE_AWARE = {
         "get_pool",
         "lease_pool",
-        "reserve_pool",
         "collect_resilient",
         "run_wave",
         "shm_parallel_run",

@@ -34,7 +34,6 @@ cells/figures are model predictions (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, log2
 from typing import Dict, Optional
 
 import numpy as np
@@ -290,29 +289,3 @@ class CostModel:
         if stats_symbolic is not None:
             t = t + self.time(stats_symbolic)
         return t
-
-    def with_threads(self, threads: int) -> "CostModel":
-        return CostModel(
-            self.machine,
-            threads,
-            dict(self.cycles_per_op),
-            self.schedule,
-            self.schedule_chunk,
-        )
-
-    def ll_miss_estimate(self, stats: KernelStats) -> float:
-        """Analytic last-level miss count for the stats' table traffic:
-        capacity misses via the miss fraction + cold misses per table
-        instance (one instance per column per partition)."""
-        mc = self.machine
-        instances = max(stats.n_cols, 1) * max(stats.parts, 1)
-        total = 0.0
-        for tb, acc in stats.table_traffic.items():
-            shared = tb * self.threads
-            total += acc * analytic_miss_fraction(shared, mc.llc_bytes)
-        # cold fills: each distinct table instance streams through once
-        biggest = max(stats.table_traffic, default=0)
-        total += (biggest / mc.cacheline_bytes) * min(
-            instances, 64
-        )  # cap: buffers are reused across columns
-        return total

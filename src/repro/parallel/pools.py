@@ -38,7 +38,7 @@ import atexit
 import contextlib
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.parallel.resilience import DeadlineExceeded
 
@@ -223,25 +223,8 @@ class PoolRegistry:
             sweep_orphans()
         return pool
 
-    def reserve(
-        self, threads: int, mp_context=None, *, deadline=None
-    ) -> "PoolReservation":
-        """A standing lease pinning the ``threads``-wide pool resident.
-
-        Long-lived consumers — the serve gateway above all — want their
-        warm workers to *stay* warm: without a reservation, unrelated
-        calls sweeping other worker counts can LRU-evict the gateway's
-        pool between requests, putting a pool spawn back on the next
-        request's latency.  The reservation holds a lease (the same
-        pinning one in-flight call gets) for as long as it is open;
-        :meth:`PoolReservation.pool` re-acquires transparently after
-        the pool breaks, and :meth:`PoolReservation.release` ends the
-        pin (the pool stays registered, just evictable again).
-        """
-        return PoolReservation(self, threads, mp_context, deadline=deadline)
-
     def _release_lease(self, pool: ProcessPoolExecutor) -> None:
-        """Drop one lease count (shared by lease() and reservations)."""
+        """Drop one lease count taken by :meth:`lease`."""
         to_close = None
         with self._lock:
             n = self._leases.get(pool, 0)
@@ -325,72 +308,6 @@ class PoolRegistry:
         self.shutdown()
 
 
-class PoolReservation:
-    """Standing lease on one registry pool (see :meth:`PoolRegistry.reserve`).
-
-    Usable as a context manager; :meth:`pool` hands out the reserved
-    executor and transparently re-reserves when the current pool has
-    been broken (the registry rebuilds it, the reservation re-pins the
-    replacement).  Thread-safe: the gateway touches it from compute
-    threads while the event loop may be shutting it down.
-    """
-
-    def __init__(
-        self, registry: PoolRegistry, threads: int, mp_context=None, *,
-        deadline=None,
-    ) -> None:
-        self._registry = registry
-        self._threads = int(threads)
-        self._mp_context = mp_context
-        self._lock = threading.Lock()
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._closed = False
-        self._acquire(deadline=deadline)
-
-    def _acquire(self, *, deadline=None) -> ProcessPoolExecutor:
-        from repro.parallel.resilience import PoolLifecycleError
-
-        pool = self._registry._acquire(
-            self._threads, self._mp_context, leased=True, deadline=deadline,
-        )
-        with self._lock:
-            if self._closed:
-                # Raced with release(): don't hold a lease forever.
-                self._registry._release_lease(pool)
-                raise PoolLifecycleError(
-                    f"reservation of the {self._threads}-worker pool "
-                    "already released; create a new one with reserve_pool()"
-                )
-            old, self._pool = self._pool, pool
-        if old is not None and old is not pool:
-            self._registry._release_lease(old)
-        return pool
-
-    def pool(self, *, deadline=None) -> ProcessPoolExecutor:
-        """The reserved pool, re-acquired if the current one broke."""
-        with self._lock:
-            pool = self._pool
-        if pool is not None and not pool_is_broken(pool):
-            return pool
-        return self._acquire(deadline=deadline)
-
-    def release(self) -> None:
-        """End the pin (idempotent); the pool stays registered."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            self._registry._release_lease(pool)
-
-    def __enter__(self) -> "PoolReservation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
 #: the default registry serving the shm engine.
 _DEFAULT_REGISTRY = PoolRegistry()
 
@@ -407,14 +324,6 @@ def lease_pool(threads: int, mp_context=None, *, deadline=None):
     (context manager; pins the pool against LRU eviction and discards
     it on exit if it broke — see :meth:`PoolRegistry.lease`)."""
     return _DEFAULT_REGISTRY.lease(threads, mp_context, deadline=deadline)
-
-
-def reserve_pool(
-    threads: int, mp_context=None, *, deadline=None
-) -> PoolReservation:
-    """Pin a persistent pool in the default registry for a long-lived
-    consumer (see :meth:`PoolRegistry.reserve`)."""
-    return _DEFAULT_REGISTRY.reserve(threads, mp_context, deadline=deadline)
 
 
 def discard_pool(pool: ProcessPoolExecutor, *, wait: bool = False) -> None:

@@ -118,11 +118,6 @@ class ChunkInvariantError(ResilienceError):
     """
 
 
-class PoolLifecycleError(ResilienceError):
-    """A pool lease/reservation was used outside its lifecycle (e.g.
-    released twice, or used after release)."""
-
-
 class RetriesExhausted(ExecutorUnusable):
     """Transient chunk failures outlived the retry budget."""
 
@@ -484,7 +479,6 @@ __all__ = [
     "DEADLINE_ENV_VAR",
     "DEFAULT_BOOT_TIMEOUT_S",
     "Deadline",
-    "PoolLifecycleError",
     "DeadlineExceeded",
     "ExecutorUnusable",
     "FALLBACK_ENV_VAR",

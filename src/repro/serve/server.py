@@ -1,11 +1,9 @@
-"""The SpKAdd gateway: an asyncio front door over the warm pool registry.
+"""The SpKAdd gateway: an asyncio front door over the SpKAdd kernels.
 
 ``GatewayServer`` accepts concurrent sum requests on a local unix
 socket, runs admission control (:mod:`repro.serve.admission`), fuses
 small requests into high-k kernel calls (:mod:`repro.serve.batcher`),
-routes large requests to a **dedicated, reservation-pinned pool**
-(:func:`repro.parallel.pools.reserve_pool` keeps the gateway's workers
-warm against LRU eviction), and maps the resilience layer's typed
+sends large requests solo, and maps the resilience layer's typed
 failures straight onto typed response frames:
 
 ========================  =============================================
@@ -15,8 +13,8 @@ library failure           wire response
                           enforced across queueing, batching, pool
                           boot, chunk retry, and assembly
 ``ExecutorUnusable``      ``code="unusable"`` — the whole degradation
-                          chain (shm → process → thread → serial) gave
-                          up; shed-or-degrade already happened
+                          chain (:data:`repro.parallel.resilience.FALLBACK_STAGES`)
+                          gave up; shed-or-degrade already happened
 queue full                ``code="shed"`` — admission refused; retry
                           with backoff
 ``ValueError`` et al.     ``code="invalid"`` — malformed request
@@ -24,10 +22,13 @@ queue full                ``code="shed"`` — admission refused; retry
 ========================  =============================================
 
 Execution happens on a small thread pool (``parallel_calls`` wide) so
-the event loop never blocks on a kernel; the kernels' own process pools
-provide the real parallelism.  A fused batch that fails as a whole is
-re-run request by request, so one poisoned (or deadline-expired)
-request cannot take its batch siblings down with it.
+the event loop never blocks on a kernel.  The kernel calls pick their
+executor the way :func:`repro.spkadd` does — ``REPRO_EXECUTOR``, else
+``"thread"`` — so by default they run in this process; set
+``REPRO_EXECUTOR=shm`` to run them on the persistent worker pools.
+A fused batch that fails as a whole is re-run request by request, so
+one poisoned (or deadline-expired) request cannot take its batch
+siblings down with it.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ class GatewayConfig:
     """Knobs of one gateway instance.
 
     ``small_nnz`` splits the lanes: requests whose summed input nnz is
-    at or under it are micro-batched, larger ones go solo to the
-    dedicated pool.  ``batch_window_s`` is the latency spent waiting
-    for batch-mates; ``batch_max`` caps a fused call's request count.
+    at or under it are micro-batched, larger ones run solo.
+    ``batch_window_s`` is the latency spent waiting for batch-mates;
+    ``batch_max`` caps a fused call's request count.
     ``max_queue`` bounds requests in flight (admitted, queued, or
     running) — beyond it the gateway sheds.  ``deadline_s`` is the
     default per-request budget (requests may carry their own);
@@ -77,7 +78,6 @@ class GatewayConfig:
 
     socket_path: str = DEFAULT_SOCKET
     threads: int = 2
-    executor: str = "shm"
     small_nnz: int = 1 << 15
     batch_window_s: float = 0.002
     batch_max: int = 16
@@ -137,7 +137,9 @@ class GatewayServer:
         from repro.parallel.executor import resolve_executor
 
         self.config = config
-        self.executor = resolve_executor(config.executor)
+        # Reported by ``stats`` and the ``serve`` banner; the kernel
+        # calls resolve it again themselves, the same way.
+        self.executor = resolve_executor()
         # Fail fast on misconfigured REPRO_* knobs at startup, not on
         # the first unlucky request.
         validate_resilience_env()
@@ -152,7 +154,6 @@ class GatewayServer:
             thread_name_prefix="repro-serve",
         )
         self._server: Optional[asyncio.base_events.Server] = None
-        self._reservation = None
         self._stop_event: Optional[asyncio.Event] = None
         self._tasks: set = set()
         self._conn_tasks: set = set()
@@ -168,22 +169,10 @@ class GatewayServer:
             # server would still be flock-free — last-one-wins is the
             # local-socket convention.
             os.unlink(path)
-        if self.executor == "shm":
-            from repro.parallel.pools import reserve_pool
-
-            # Dedicated pool: boot the workers *before* traffic arrives
-            # and pin them against LRU eviction for the server's life.
-            self._reservation = reserve_pool(self.config.threads)
         self._stop_event = asyncio.Event()
-        try:
-            self._server = await asyncio.start_unix_server(
-                self._serve_connection, path=path
-            )
-        except BaseException:
-            if self._reservation is not None:
-                self._reservation.release()
-                self._reservation = None
-            raise
+        self._server = await asyncio.start_unix_server(
+            self._serve_connection, path=path
+        )
         self._t_started = time.monotonic()
 
     async def serve_until_stopped(self) -> None:
@@ -212,9 +201,6 @@ class GatewayServer:
         if self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
         self._compute.shutdown(wait=True)
-        if self._reservation is not None:
-            self._reservation.release()
-            self._reservation = None
         if os.path.exists(self.config.socket_path):
             try:
                 os.unlink(self.config.socket_path)
@@ -396,7 +382,6 @@ class GatewayServer:
     def _spkadd_kwargs(self, *, deadline_rem) -> Dict:
         kwargs = {
             "threads": self.config.threads,
-            "executor": self.executor,
             "resilience": self.config.resilience,
         }
         if self.config.threads > 1:

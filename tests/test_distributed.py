@@ -279,6 +279,24 @@ class TestPromotedConformance:
         assert np.isnan(ref.assemble().data).any()
         assert_bit_identical(got.assemble(), ref.assemble(), executor)
 
+    def test_production_default_merges_in_process(self, monkeypatch):
+        """With ``REPRO_EXECUTOR`` unset the production plan's merges
+        run in process: the run boots no worker pool and gives the
+        serial bytes."""
+        from repro.parallel.pools import active_pools, shutdown_pools
+
+        monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        shutdown_pools()
+        A, B = _operands(np.float64)
+        res = summa_spgemm(
+            A, B, grid=ProcessGrid(*self.GRID), stages=self.STAGES,
+            plan=ExecutionPlan.production(threads=2, rank_parallelism=2),
+        )
+        assert active_pools() == {}
+        assert_bit_identical(
+            res.assemble(), self._reference(np.float64), "in process"
+        )
+
     def test_loose_kwargs_build_promoted_plan(self):
         A, B = _operands(np.float64)
         res = summa_spgemm(
@@ -315,7 +333,8 @@ class TestPromotedChaos:
     def test_worker_kill_mid_merge_recovers_bit_identically(self):
         # A worker killed on its first merge chunk must be retried by
         # the resilience layer and the run must still produce the exact
-        # serial-reference bytes.
+        # serial-reference bytes.  The plan names shm so the kill hits
+        # a worker process (in process it is an injected exception).
         from repro.parallel import faults
 
         A, B = _operands(np.float64)
@@ -326,7 +345,7 @@ class TestPromotedChaos:
             res = summa_spgemm(
                 A, B, grid=ProcessGrid(2, 2), stages=6,
                 plan=ExecutionPlan.production(
-                    threads=2, rank_parallelism=2
+                    executor="shm", threads=2, rank_parallelism=2
                 ),
                 sorted_intermediates=False,
             )

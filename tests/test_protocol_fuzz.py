@@ -191,7 +191,7 @@ def test_unpack_matrices_round_trips():
 def test_live_gateway_drops_a_truncated_frame():
     cfg = GatewayConfig(
         socket_path=f"/tmp/repro-gw-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
-        executor="thread", threads=2, batch_window_s=0.05,
+        threads=2, batch_window_s=0.05,
     )
     before = list_live_segments()
     with start_in_thread(cfg):

@@ -33,9 +33,15 @@ def _sock() -> str:
     return f"/tmp/repro-gw-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock"
 
 
+@pytest.fixture(autouse=True)
+def _in_process(monkeypatch):
+    """Keep the gateway's kernel calls in process (hermetic and fast)
+    even on suite runs that set ``REPRO_EXECUTOR=shm``."""
+    monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+
+
 def _config(**kw) -> GatewayConfig:
     kw.setdefault("socket_path", _sock())
-    kw.setdefault("executor", "thread")  # hermetic + fast for most legs
     kw.setdefault("threads", 2)
     kw.setdefault("batch_window_s", 0.05)
     return GatewayConfig(**kw)
@@ -347,12 +353,10 @@ def test_client_reconnects_after_server_restart():
     expect = repro.spkadd(mats).matrix
     gw = GatewayClient(path)
     try:
-        with start_in_thread(GatewayConfig(socket_path=path,
-                                           executor="thread")):
+        with start_in_thread(GatewayConfig(socket_path=path)):
             assert_bit_identical(gw.submit(mats), expect, "first server")
         # server gone: the held connection is now dead
-        with start_in_thread(GatewayConfig(socket_path=path,
-                                           executor="thread")):
+        with start_in_thread(GatewayConfig(socket_path=path)):
             assert_bit_identical(gw.submit(mats), expect, "reconnected")
     finally:
         gw.close()
@@ -407,12 +411,50 @@ def test_disconnect_releases_shm_leases():
         assert not glob.glob("/dev/shm/repro*"), "lease leaked"
 
 
-@pytest.mark.slow
-def test_gateway_over_shm_executor_end_to_end():
-    """The production configuration: dedicated reservation-pinned shm
-    pool behind the gateway."""
-    cfg = _config(executor="shm", threads=2)
+def test_gateway_default_runs_in_process():
+    """With ``REPRO_EXECUTOR`` unset, the gateway's solo and fused
+    kernel calls run in process: answering both boots no worker pool,
+    and both answers are the serial bytes."""
+    from repro.parallel.pools import active_pools, shutdown_pools
+
+    shutdown_pools()
+    cfg = GatewayConfig(socket_path=_sock(), batch_window_s=0.5,
+                        batch_max=2)
+    pair = [random_collection(seed=s, m=256, n=16, k=3) for s in (61, 62)]
+    big = random_collection(seed=63, m=512, n=24, k=4)
+    barrier = threading.Barrier(len(pair))
+    got = [None] * len(pair)
+
+    def fused(i):
+        barrier.wait(timeout=30)
+        with GatewayClient(cfg.socket_path) as gw:
+            got[i] = gw.submit(pair[i])
+
     with start_in_thread(cfg), GatewayClient(cfg.socket_path) as gw:
+        threads = [threading.Thread(target=fused, args=(i,))
+                   for i in range(len(pair))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        solo = gw.submit(big, threads=2)
+        stats = gw.stats()
+        assert stats["executor"] == "thread"
+        assert stats["batches"] == 1 and stats["solo_calls"] == 1, stats
+        assert active_pools() == {}
+    for i, mats in enumerate(pair):
+        assert_bit_identical(got[i], repro.spkadd(mats).matrix, f"fused {i}")
+    assert_bit_identical(solo, repro.spkadd(big).matrix, "solo")
+
+
+@pytest.mark.slow
+def test_gateway_over_shm_executor_end_to_end(monkeypatch):
+    """``REPRO_EXECUTOR=shm`` puts the gateway's kernel calls on the
+    persistent shm worker pools."""
+    monkeypatch.setenv("REPRO_EXECUTOR", "shm")
+    cfg = _config(threads=2)
+    with start_in_thread(cfg), GatewayClient(cfg.socket_path) as gw:
+        assert gw.stats()["executor"] == "shm"
         for seed in (51, 52):
             mats = random_collection(seed=seed, m=512, n=24, k=4)
             assert_bit_identical(

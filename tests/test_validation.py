@@ -32,6 +32,7 @@ from repro.parallel.resilience import (
     resolve_policy,
     validate_resilience_env,
 )
+from repro.serve import GatewayConfig
 from tests.conftest import random_collection
 
 
@@ -79,9 +80,10 @@ def test_threads_one_still_runs(mats):
     (lambda m: repro.ExecutionPlan(materialize=True), "materialize"),
     (lambda m: repro.ExecutionPlan.production(materialize=True),
      "materialize"),
+    (lambda m: GatewayConfig(executor="shm"), "executor"),
 ], ids=["spkadd-materialize", "spkadd-chunks", "parallel-chunks",
         "parallel-shm-materialize", "plan-materialize",
-        "production-materialize"])
+        "production-materialize", "gateway-executor"])
 def test_removed_options_are_refused(mats, call, option):
     from repro.parallel.shm import list_live_segments
 
@@ -91,13 +93,17 @@ def test_removed_options_are_refused(mats, call, option):
     assert list_live_segments() == before
 
 
-def test_cli_refuses_removed_materialize_flag(capsys):
+@pytest.mark.parametrize("argv, flag", [
+    (["demo", "--materialize"], "--materialize"),
+    (["serve", "--executor", "shm"], "--executor"),
+], ids=["demo-materialize", "serve-executor"])
+def test_cli_refuses_removed_materialize_flag(capsys, argv, flag):
     from repro.__main__ import build_parser
 
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["demo", "--materialize"])
+        build_parser().parse_args(argv)
     assert exc.value.code == 2
-    assert "--materialize" in capsys.readouterr().err
+    assert flag in capsys.readouterr().err
 
 
 def test_cli_fallback_help_names_the_chain(capsys):
