@@ -6,9 +6,10 @@ printing the SUMMA stage structure of Fig 5 and the computation-phase
 comparison of Fig 6: heap SpKAdd vs sorted-hash vs unsorted-hash.
 
 The Fig 5/6 sections run on the **promoted** production path — fast
-kernels, parallel merges on the executor ``REPRO_EXECUTOR`` names
-(in-process threads by default), concurrent rank pipelines with
-multiply/merge overlap (``ExecutionPlan.production()``) — and the
+kernels, merges on the executor ``REPRO_EXECUTOR`` names (in-process
+threads by default), concurrent rank pipelines with multiply/merge
+overlap, the two levels splitting the CPU budget
+(``ExecutionPlan.production()``) — and the
 result is verified bit-for-bit against the serial paper plan: the
 refactor's central contract.
 
@@ -45,7 +46,8 @@ def main() -> None:
           "with SpKAdd\n")
 
     # Fig 5: the stage structure, on the promoted execution plan (fast
-    # kernels, parallel merges, rank concurrency + overlap).
+    # kernels, rank concurrency + overlap, the rank pipelines and their
+    # merges splitting the CPU budget).
     log = CommLog()
     t0 = time.perf_counter()
     res = summa_spgemm(

@@ -243,7 +243,8 @@ def _serve_selftest(config, burst: int) -> int:
                 and np.array_equal(got.data, expect.data)):
             failures.append("large request: response != serial spkadd")
 
-    print(f"selftest [executor={stats['executor']}]: "
+    print(f"selftest [executor={stats['executor']}, "
+          f"threads={stats['threads']}]: "
           f"{stats['completed']} completed, "
           f"{stats['batches']} fused calls "
           f"(fused_k_max={stats['fused_k_max']}), "
@@ -358,8 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("serve", help="run the SpKAdd gateway")
     s.add_argument("--socket", default="/tmp/repro-gateway.sock",
                    help="unix socket path to listen on")
-    s.add_argument("--threads", type=_positive_int, default=2,
-                   help="worker count of the gateway's kernel calls")
+    s.add_argument("--threads", type=_positive_int, default=None,
+                   help="worker count of the gateway's kernel calls "
+                        "(default: the CPU budget split across "
+                        "--parallel-calls)")
     s.add_argument("--small-nnz", type=int, default=1 << 15,
                    help="requests at or under this summed input nnz are "
                         "micro-batched into one fused high-k call")

@@ -121,7 +121,9 @@ def spkadd(
         (Algorithms 5+6), ``"sliding_hash"`` (Algorithms 7+8).
     threads:
         >1 runs the column-parallel executor (no synchronization; the
-        paper's Section III-A scheme) with this many workers.
+        paper's Section III-A scheme) with this many workers.  At 1,
+        a ``deadline=`` or ``resilience=`` runs the call as one chunk
+        on that executor, so the budget and the policy are enforced.
     machine:
         A :class:`~repro.machine.spec.MachineSpec`; the sliding-hash
         method derives its cache budget from it (LLC bytes).
@@ -148,14 +150,13 @@ def spkadd(
         :mod:`repro.parallel.shm`), or ``"serial"`` (an in-process
         loop, the fallback floor); every one writes its chunks into one
         upper-bound output and compacts it in place.  ``None``
-        (or ``"auto"``) consults the ``REPRO_EXECUTOR`` environment
-        variable and then defaults to ``"thread"``.  Only consulted when
-        ``threads > 1``.  The shm engine draws persistent workers from
-        the pool registry (:mod:`repro.parallel.pools`), so repeated
-        calls reuse warm workers; ``repro.shutdown_pools()`` releases
-        them.  shm results are **zero-copy** views into the engine's
-        shared segment, unlinked when the last view is collected;
-        ``result.matrix.materialize()`` returns a private copy.
+        (or ``"auto"``) consults ``REPRO_EXECUTOR``, then defaults to
+        ``"thread"``; unused on the serial path (see ``threads``).  shm
+        keeps persistent workers (:mod:`repro.parallel.pools`);
+        ``repro.shutdown_pools()`` releases them.  shm results are
+        **zero-copy** views into the engine's shared segment, unlinked
+        when the last view is collected; ``result.matrix.materialize()``
+        returns a private copy.
     value_dtype:
         Optional override of the value dtype the sum is computed (and
         returned) in.  ``None`` preserves the inputs: the output dtype
@@ -180,14 +181,14 @@ def spkadd(
         int64 (indices never wrap); the resolved width is identical
         across every method, backend, and executor.
     deadline:
-        Per-call time budget in seconds (parallel calls only).  Expiry
+        Per-call time budget in seconds (see ``threads``).  Expiry
         raises :class:`~repro.parallel.resilience.DeadlineExceeded`,
         cancels outstanding chunks, and releases pool leases and shared
         segments.  ``None`` consults ``REPRO_DEADLINE``.
     resilience:
         A :class:`~repro.parallel.resilience.ResiliencePolicy`
         overriding the retry/backoff/deadline/fallback behaviour of
-        parallel calls.  ``None`` resolves from the environment
+        the call (see ``threads``).  ``None`` resolves from the environment
         (``REPRO_MAX_RETRIES``, ``REPRO_DEADLINE``, ``REPRO_FALLBACK``);
         ``ResiliencePolicy.disabled()`` turns the layer off.
 
@@ -223,7 +224,7 @@ def spkadd(
         )
     if machine is not None and method == "sliding_hash":
         kwargs.setdefault("cache_bytes", machine.llc_bytes)
-    if threads > 1:
+    if threads > 1 or deadline is not None or resilience is not None:
         from repro.parallel.executor import parallel_spkadd
 
         return parallel_spkadd(

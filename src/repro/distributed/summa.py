@@ -44,7 +44,7 @@ the tests.
 from __future__ import annotations
 
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -56,14 +56,6 @@ from repro.distributed.grid import BlockDistribution, ProcessGrid
 from repro.distributed.spgemm_local import LocalSpGEMMStats, local_spgemm
 from repro.formats.csc import CSCMatrix
 from repro.parallel.resilience import Deadline
-
-#: merge-stage worker count when an explicit multiprocess executor is
-#: named without ``threads=``.
-DEFAULT_MERGE_THREADS = 4
-
-#: rank pipelines in flight for promoted runs (bounded: each holds its
-#: stage intermediates resident).
-DEFAULT_RANK_PARALLELISM = 4
 
 #: SpKAdd methods that require sorted intermediates.
 _NEEDS_SORTED = (
@@ -91,6 +83,9 @@ class ExecutionPlan:
         Workers per merge call (``parallel_spkadd`` fan-out).
     rank_parallelism:
         Rank pipelines (multiply chain + merge) in flight at once.
+        A width left ``None`` is filled where the grid is known: the
+        two split one CPU budget over ``grid.size`` ranks
+        (:func:`repro.parallel.executor.split_budget`).
     overlap:
         Submit each rank's merge asynchronously
         (:func:`repro.parallel.executor.submit_spkadd`) instead of
@@ -113,8 +108,8 @@ class ExecutionPlan:
 
     backend: Optional[str] = None
     executor: Optional[str] = None
-    threads: int = 1
-    rank_parallelism: int = 1
+    threads: Optional[int] = 1
+    rank_parallelism: Optional[int] = 1
     overlap: bool = False
     deadline: Optional[object] = None
     resilience: Optional[object] = None
@@ -124,6 +119,8 @@ class ExecutionPlan:
         # the argument, instead of silently degrading to serial.
         for name in ("threads", "rank_parallelism"):
             value = getattr(self, name)
+            if value is None:
+                continue
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(
                     f"ExecutionPlan {name} must be a positive integer, "
@@ -159,15 +156,15 @@ class ExecutionPlan:
         *,
         backend: str = "fast",
         executor: Optional[str] = None,
-        threads: int = DEFAULT_MERGE_THREADS,
-        rank_parallelism: int = DEFAULT_RANK_PARALLELISM,
+        threads: Optional[int] = None,
+        rank_parallelism: Optional[int] = None,
         overlap: bool = True,
         deadline=None,
         resilience=None,
     ) -> "ExecutionPlan":
-        """The promoted defaults: fast kernels, parallel merges on the
-        resolved executor (``REPRO_EXECUTOR``, else ``"thread"``),
-        concurrent rank pipelines, overlap on."""
+        """The promoted defaults: fast kernels, merges on the resolved
+        executor (``REPRO_EXECUTOR``, else ``"thread"``), concurrent
+        rank pipelines, overlap on, widths from the CPU budget."""
         return cls(
             backend=backend, executor=executor, threads=threads,
             rank_parallelism=rank_parallelism, overlap=overlap,
@@ -228,7 +225,6 @@ class SummaResult:
 def _resolve_plan(
     plan: Optional[ExecutionPlan],
     *,
-    grid: ProcessGrid,
     backend, executor, threads, deadline, resilience,
 ) -> ExecutionPlan:
     loose = {
@@ -245,24 +241,20 @@ def _resolve_plan(
         return plan
     if not given:
         return ExecutionPlan.paper()
-    if threads is None:
-        threads = (
-            DEFAULT_MERGE_THREADS
-            if executor not in (None, "auto", "serial")
-            else 1
-        )
-    parallel = threads > 1
-    return ExecutionPlan(
-        backend=backend,
-        executor=executor,
-        threads=threads,
-        rank_parallelism=(
-            min(grid.size, DEFAULT_RANK_PARALLELISM) if parallel else 1
-        ),
-        overlap=parallel,
-        deadline=deadline,
-        resilience=resilience,
-    )
+    return ExecutionPlan.production(**given)
+
+
+def _fill_widths(plan: ExecutionPlan, grid: ProcessGrid) -> ExecutionPlan:
+    """``plan`` with its open widths split from the CPU budget: rank
+    pipelines are the outer level, each merge's workers the inner."""
+    if plan.threads is not None and plan.rank_parallelism is not None:
+        return plan
+    from repro.parallel.executor import split_budget
+
+    rank_par = plan.rank_parallelism or grid.size
+    outer, inner = split_budget(min(grid.size, rank_par))
+    return replace(plan, threads=plan.threads or inner,
+                   rank_parallelism=plan.rank_parallelism or outer)
 
 
 def summa_spgemm(
@@ -310,10 +302,9 @@ def summa_spgemm(
     backend, executor, threads, deadline, resilience:
         Loose plan keywords: kernel backend for multiply + merge
         (default ``"fast"``), merge executor/fan-out, whole-run
-        deadline, and resilience policy.
-        Naming a multiprocess ``executor=`` without ``threads=``
-        defaults the merge fan-out to ``DEFAULT_MERGE_THREADS`` and
-        turns on rank concurrency + overlap (the promoted path).
+        deadline, and resilience policy.  They build
+        :meth:`ExecutionPlan.production` (rank concurrency + overlap);
+        the widths not given come from the CPU budget.
     """
     m, l1 = A.shape
     l2, n = B.shape
@@ -329,10 +320,10 @@ def summa_spgemm(
             f"stages must be <= the inner dimension ({l1}), got "
             f"stages={S}: every SUMMA stage needs a nonempty inner block"
         )
-    plan = _resolve_plan(
-        plan, grid=grid, backend=backend, executor=executor,
+    plan = _fill_widths(_resolve_plan(
+        plan, backend=backend, executor=executor,
         threads=threads, deadline=deadline, resilience=resilience,
-    )
+    ), grid)
     needs_sorted = spkadd_method in _NEEDS_SORTED
     sort_local = (
         needs_sorted if sorted_intermediates is None else sorted_intermediates

@@ -38,8 +38,9 @@ property: there is no option and no environment knob.
   new values, and checks every entry's row against the plan; a mismatch
   drops the plan and the call runs the kernel.  The cache holds at most
   :data:`PLAN_CACHE_ENTRIES` patterns and :data:`PLAN_CACHE_BYTES`
-  bytes, and skips patterns with more ``indptr`` entries than stored
-  entries; the NumPy loop has none.
+  bytes, builds no plan that would evict one found in the last
+  ``2 * PLAN_CACHE_ENTRIES`` lookups, and skips patterns with more
+  ``indptr`` entries than stored entries; the NumPy loop has none.
 """
 
 from __future__ import annotations
@@ -107,6 +108,7 @@ class _State:
         self.warned = False
         #: cached patterns, least recently used first.
         self.patterns: List[_Pattern] = []
+        self.lookups = 0
         self.plan_hits = 0
         self.plan_builds = 0
         self.plan_rejects = 0
@@ -124,9 +126,10 @@ class _Plan(NamedTuple):
 class _Pattern:
     """One cached index pattern: a snapshot of the addends' ``indptr``
     arrays, and its plan once one is built.  Every array is a private
-    copy, and a published pattern is never mutated."""
+    copy, and a published pattern's arrays are never mutated; ``used``
+    is the cache's lookup count when it was last found or published."""
 
-    __slots__ = ("key", "indptrs", "plan", "nbytes")
+    __slots__ = ("key", "indptrs", "plan", "nbytes", "used")
 
     def __init__(
         self, key: tuple, indptrs: np.ndarray, plan: Optional[_Plan] = None
@@ -135,6 +138,7 @@ class _Pattern:
         self.indptrs = indptrs
         self.plan = plan
         self.nbytes = indptrs.nbytes + sum(a.nbytes for a in plan or ())
+        self.used = 0
 
 
 _STATE = _State()
@@ -395,8 +399,8 @@ def spkadd_columns(
     # Cached are only patterns with no more indptr entries than stored
     # entries (a hypersparse or column-embedded collection pays more to
     # snapshot and compare than a replay saves) whose plan fits.
-    cacheable = len(mats) * (n + 1) <= total and PLAN_CACHE_BYTES >= (
-        8 * (len(mats) + 2) * (n + 1) + 2 * total * index_dtype.itemsize)
+    bound = 8 * (len(mats) + 2) * (n + 1) + 2 * total * index_dtype.itemsize
+    cacheable = len(mats) * (n + 1) <= total and PLAN_CACHE_BYTES >= bound
     seen = _lookup(key, indptrs) if cacheable else None
     if seen is not None and seen.plan is not None:
         plan = seen.plan
@@ -424,7 +428,8 @@ def spkadd_columns(
         np.empty(total, dtype=index_dtype), np.empty(total, dtype=value_dtype)
     )
     col_in = np.empty(n, dtype=np.int64)
-    slots = np.empty(total, dtype=index_dtype) if seen is not None else None
+    slots = (np.empty(total, dtype=index_dtype)
+             if seen is not None and _room_for(bound) else None)
     nnz = getattr(lib, f"repro_spkadd_{suffix}")(
         len(mats), m, 0, n,
         _pointers(indptrs), _pointers(indices), _pointers(datas),
@@ -448,7 +453,7 @@ def spkadd_columns(
         built = _Plan(out_indptr.copy(), out_indices.copy(), slots, col_in.copy())
         if _publish(_Pattern(key, seen.indptrs, built), replacing=seen):
             _count("plan_builds")
-    elif cacheable:
+    elif cacheable and seen is None:
         _publish(_Pattern(key, np.stack(indptrs)))
     return out_indptr, out_indices, out_data, col_in
 
@@ -531,6 +536,7 @@ def _lookup(key: tuple, indptrs: Sequence[np.ndarray]) -> Optional[_Pattern]:
     marked most recently used; ``None`` when there is none."""
     state = _STATE
     with state.lock:
+        state.lookups += 1
         for pattern in reversed(state.patterns):
             if pattern.key == key and all(
                 np.array_equal(snap, p)
@@ -539,8 +545,21 @@ def _lookup(key: tuple, indptrs: Sequence[np.ndarray]) -> Optional[_Pattern]:
                 state.patterns = [
                     p for p in state.patterns if p is not pattern
                 ] + [pattern]
+                pattern.used = state.lookups
                 return pattern
     return None
+
+
+def _room_for(nbytes: int) -> bool:
+    """Whether a plan of up to ``nbytes`` fits next to the plans found
+    in the last ``2 * PLAN_CACHE_ENTRIES`` lookups, which it may not
+    evict: a cycle of patterns a little over the byte bound would
+    otherwise build one plan and evict another on every pass."""
+    state = _STATE
+    with state.lock:
+        recent = sum(p.nbytes for p in state.patterns if p.plan is not None
+                     and state.lookups - p.used < 2 * PLAN_CACHE_ENTRIES)
+    return recent + nbytes <= PLAN_CACHE_BYTES
 
 
 def _publish(pattern: _Pattern, replacing: Optional[_Pattern] = None) -> bool:
@@ -553,6 +572,7 @@ def _publish(pattern: _Pattern, replacing: Optional[_Pattern] = None) -> bool:
         patterns = [p for p in state.patterns if p is not replacing]
         if replacing is not None and len(patterns) == len(state.patterns):
             return False
+        pattern.used = state.lookups
         patterns.append(pattern)
         size = sum(p.nbytes for p in patterns)
         while patterns and (size > PLAN_CACHE_BYTES

@@ -10,9 +10,10 @@ hash table) and a disjoint set of columns.  This subpackage provides
   column schedules, the paper's load-balancing rule (Section III-A:
   input nnz weights the symbolic phase, output nnz the addition phase);
 * :mod:`~repro.parallel.executor` — real thread/shared-memory/serial
-  executors over column blocks, and a *simulated* executor that turns
-  per-column work vectors into per-thread makespans for the scaling
-  study (Fig 3);
+  executors over column blocks (one block per worker), the CPU-budget
+  split for nested parallelism, and a *simulated* executor that turns
+  per-column work vectors into per-thread makespans (the scheduling
+  ablation);
 * :mod:`~repro.parallel.shm` — the ``multiprocessing.shared_memory``
   plumbing behind ``executor="shm"``: segment registry, spawn-safe
   attach handles, the one-wave engine that compacts its output in

@@ -18,14 +18,10 @@ place.  Three executors:
 
 ``executor="shm"``
     The zero-copy shared-memory engine (:mod:`repro.parallel.shm`):
-    inputs are published to ``multiprocessing.shared_memory`` segments
-    once, the output is a shared segment, and the parent compacts it
-    through its file descriptor — no per-chunk pickling.  Its worker
-    processes sidestep the GIL (which matters for the instrumented
-    backend, whose probing rounds are Python-bound) and are
-    **persistent**: they come from the registry in
-    :mod:`repro.parallel.pools`, so repeated calls reuse warm forkserver
-    workers (:func:`repro.parallel.pools.shutdown_pools` releases them).
+    inputs are published to shared segments once, the output is a
+    shared segment the parent compacts — no per-chunk pickling.  Its
+    worker processes sidestep the GIL and are **persistent**
+    (:mod:`repro.parallel.pools`; ``shutdown_pools`` releases them).
 
 ``executor="serial"``
     The degenerate pool: chunks run in a plain in-process loop.  Exists
@@ -35,19 +31,18 @@ place.  Three executors:
 ``executor=None`` (or ``"auto"``) consults the ``REPRO_EXECUTOR``
 environment variable, then defaults to ``"thread"``.
 
-Resilience (:mod:`repro.parallel.resilience`): every parallel call runs
-under a :class:`~repro.parallel.resilience.ResiliencePolicy` — chunks
-whose worker dies are retried on a rebuilt pool (bounded, with
-backoff), a per-call ``deadline=`` / ``REPRO_DEADLINE`` bounds the
-whole call, and an executor found *unusable* (boot timeout, retry
-budget exhausted, ``/dev/shm`` full) degrades down the chain
-``shm → thread → serial`` with a one-shot warning (``REPRO_FALLBACK``
-controls the chain).  Every stage runs its tasks through the one retry
-loop, :func:`~repro.parallel.resilience.run_wave`; a retry rewrites
-its chunk's slot only after the failed attempt's workers are joined.
+Resilience (:mod:`repro.parallel.resilience`): chunks whose worker
+dies are retried on a rebuilt pool, ``deadline=`` bounds the whole
+call, and an *unusable* executor degrades down ``shm → thread →
+serial`` with a one-shot warning.  Every stage runs its tasks through
+one retry loop, :func:`~repro.parallel.resilience.run_wave`; a retry
+rewrites its chunk's slot only after the failed attempt is joined.
 
-The *shape* of scaling behaviour at paper fidelity comes from
-``simulate_parallel_time``, which the machine cost model uses for Fig 3.
+A call at ``threads=T`` runs ``min(T, n)`` chunks, one per worker;
+callers that nest parallelism split one CPU budget with
+:func:`split_budget`.  ``simulate_parallel_time`` models schedule
+makespans for the ablation benchmark (the cost model calls
+:mod:`repro.parallel.scheduler` directly).
 """
 
 from __future__ import annotations
@@ -59,7 +54,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,11 +63,6 @@ from repro.core.stats import KernelStats
 from repro.formats.csc import CSCMatrix
 from repro.parallel.partition import split_weighted
 from repro.parallel.scheduler import dynamic_schedule, static_schedule
-
-#: column chunks per worker: ``threads * CHUNKS_PER_THREAD`` chunks of
-#: near-equal input nnz give the dynamic balancing room to even out
-#: skewed columns.
-CHUNKS_PER_THREAD = 4
 
 #: environment variable overriding the default executor choice.
 EXECUTOR_ENV_VAR = "REPRO_EXECUTOR"
@@ -250,6 +240,22 @@ def resolve_executor(name: Optional[str] = None) -> str:
             f"choose from {EXECUTORS}"
         )
     return name
+
+
+def cpu_budget() -> int:
+    """CPUs this process may run on (the package's one CPU-count read)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def split_budget(units: int) -> Tuple[int, int]:
+    """``(outer, inner)`` widths for ``units`` outer tasks (rank
+    pipelines, gateway slots) sharing the CPU budget across two levels
+    (Azad et al., arXiv 1510.00844)."""
+    budget = cpu_budget()
+    outer = max(1, min(units, budget))
+    return outer, max(1, budget // outer)
 
 
 def _total_col_nnz(mats: Sequence[CSCMatrix]) -> np.ndarray:
@@ -488,9 +494,9 @@ def parallel_spkadd(
 ):
     """Column-parallel SpKAdd (paper Section III-A).
 
-    Columns are divided into ``threads * CHUNKS_PER_THREAD`` contiguous
-    chunks of near-equal *input nnz* (the dynamic-balancing weight) and
-    executed on a thread, shared-memory, or serial pool
+    Columns are divided into ``min(threads, n)`` contiguous chunks of
+    near-equal *input nnz*, one per worker, and executed on a thread,
+    shared-memory, or serial pool
     (``executor=``; ``None``/``"auto"`` consults ``REPRO_EXECUTOR`` then
     uses ``"thread"``).  Hash-family methods run the ``fast`` backend
     unless ``backend="instrumented"`` is passed.  Per-chunk stats are
@@ -548,10 +554,8 @@ def parallel_spkadd(
         kwargs.setdefault("threads", threads)
     n = mats[0].shape[1]
     ub = _slot_bounds(mats)
-    n_chunks = max(min(threads * CHUNKS_PER_THREAD, n), 1)
-    ranges = [
-        (j0, j1) for j0, j1 in split_weighted(np.diff(ub), n_chunks) if j1 > j0
-    ]
+    ranges = [(j0, j1) for j0, j1 in
+              split_weighted(np.diff(ub), max(min(threads, n), 1)) if j1 > j0]
 
     policy = resolve_policy(resilience, deadline=deadline)
     dl = Deadline(policy.deadline_s)
@@ -623,31 +627,19 @@ def _submit_pool() -> ThreadPoolExecutor:
     with _SUBMIT_POOL_LOCK:
         if _SUBMIT_POOL is None:
             _SUBMIT_POOL = ThreadPoolExecutor(
-                max_workers=min(32, (os.cpu_count() or 4) * 2),
+                max_workers=min(32, cpu_budget() * 2),
                 thread_name_prefix="spkadd-submit",
             )
         return _SUBMIT_POOL
 
 
 def submit_spkadd(mats: Sequence[CSCMatrix], method: str = "hash", **kwargs):
-    """Run :func:`repro.spkadd` asynchronously; returns a ``Future``.
-
-    The public overlap seam: the call is driven by a small shared
-    daemon of submitter threads, so the caller is not blocked on chunk
-    execution *or* result assembly — ``future.result()`` yields the
-    finished :class:`~repro.core.api.SpKAddResult`.  The promoted SUMMA
-    pipeline uses this to keep local multiplies running while merges
-    are in flight on the worker pools; any pipeline that wants to
-    overlap a merge with its own compute can do the same.
-
-    Accepts exactly the keyword surface of :func:`repro.spkadd`
-    (``threads=``, ``executor=``, ``backend=``, ``deadline=``,
-    ``resilience=``, ...).  Because the kernel work of a parallel call
-    happens in pool workers (which release or sidestep the GIL), the
-    submitter thread spends its life waiting, not computing; the pool
-    is shared, bounded, and created lazily.  Submitted tasks are
-    independent — a queued task never waits on another queued task, so
-    the bounded pool cannot deadlock.
+    """Run :func:`repro.spkadd` (same keywords) asynchronously on a
+    small shared pool of submitter threads; returns a ``Future`` of the
+    :class:`~repro.core.api.SpKAddResult`.  The public overlap seam: the
+    promoted SUMMA pipeline keeps its local multiplies running while
+    merges are in flight.  The pool is bounded and created lazily; a
+    queued task never waits on another, so it cannot deadlock.
     """
     from repro.core.api import spkadd
 

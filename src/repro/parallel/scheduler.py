@@ -35,12 +35,6 @@ class Schedule:
     assignments: List[List[Tuple[int, int]]] = field(default_factory=list)
     policy: str = "static"
 
-    def thread_cost(self, col_costs: np.ndarray, t: int) -> float:
-        prefix = np.concatenate([[0.0], np.cumsum(col_costs)])
-        return float(
-            sum(prefix[j1] - prefix[j0] for j0, j1 in self.assignments[t])
-        )
-
     def makespan(self, col_costs: np.ndarray) -> float:
         """Parallel completion time in cost units = max thread load."""
         prefix = np.concatenate([[0.0], np.cumsum(col_costs)])

@@ -41,10 +41,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.parallel.executor import resolve_executor, split_budget
 from repro.parallel.resilience import (
     Deadline,
     DeadlineExceeded,
-    validate_resilience_env,
+    resolve_policy,
 )
 from repro.serve import protocol
 from repro.serve.admission import AdmissionController
@@ -73,11 +74,12 @@ class GatewayConfig:
     running) — beyond it the gateway sheds.  ``deadline_s`` is the
     default per-request budget (requests may carry their own);
     ``None`` = unbounded.  ``parallel_calls`` is how many kernel calls
-    may run concurrently on the compute thread pool.
+    may run concurrently on the compute thread pool; ``threads`` (per
+    call) defaults to their share of the CPU budget.
     """
 
     socket_path: str = DEFAULT_SOCKET
-    threads: int = 2
+    threads: Optional[int] = None
     small_nnz: int = 1 << 15
     batch_window_s: float = 0.002
     batch_max: int = 16
@@ -87,12 +89,14 @@ class GatewayConfig:
     resilience: object = None  # Optional[ResiliencePolicy]; None = env
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.parallel_calls < 1:
             raise ValueError(
                 f"parallel_calls must be >= 1, got {self.parallel_calls}"
             )
+        if self.threads is None:
+            self.threads = split_budget(self.parallel_calls)[1]
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.deadline_s is not None and self.deadline_s <= 0:
             raise ValueError(
                 f"deadline_s must be positive, got {self.deadline_s}"
@@ -134,15 +138,14 @@ class GatewayServer:
 
     def __init__(self, config: GatewayConfig) -> None:
         from concurrent.futures import ThreadPoolExecutor
-        from repro.parallel.executor import resolve_executor
 
         self.config = config
         # Reported by ``stats`` and the ``serve`` banner; the kernel
         # calls resolve it again themselves, the same way.
         self.executor = resolve_executor()
-        # Fail fast on misconfigured REPRO_* knobs at startup, not on
-        # the first unlucky request.
-        validate_resilience_env()
+        # Resolved once (bad REPRO_* knobs fail at startup); passing it
+        # keeps threads=1 calls under their deadline, on the executor.
+        self.policy = resolve_policy(config.resilience)
         self.admission = AdmissionController(config.max_queue)
         self.batcher = MicroBatcher(
             window_s=config.batch_window_s,
@@ -380,13 +383,8 @@ class GatewayServer:
 
     # ------------------------------------------------------------ execution
     def _spkadd_kwargs(self, *, deadline_rem) -> Dict:
-        kwargs = {
-            "threads": self.config.threads,
-            "resilience": self.config.resilience,
-        }
-        if self.config.threads > 1:
-            kwargs["deadline"] = deadline_rem
-        return kwargs
+        return {"threads": self.config.threads, "deadline": deadline_rem,
+                "resilience": self.policy}
 
     def _compute_solo(self, req: _SumRequest):
         import repro
@@ -396,8 +394,6 @@ class GatewayServer:
         kwargs = self._spkadd_kwargs(deadline_rem=rem)
         if req.threads is not None:
             kwargs["threads"] = req.threads
-            if req.threads == 1:
-                kwargs.pop("deadline", None)
         self.admission.solo_calls += 1
         res = repro.spkadd(
             req.mats,

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import fnmatch
+import os
+
 import numpy as np
 import pytest
 
@@ -31,6 +35,45 @@ def assert_bit_identical(a: CSCMatrix, b: CSCMatrix, label: str = "") -> None:
     assert np.array_equal(
         a.data.view(np.uint8), b.data.view(np.uint8)
     ), label
+
+
+def own_segments() -> list:
+    """This process's live ``repro_shm_*`` segments.  Leak asserts
+    compare these before and after a call: the full listing also holds
+    the segments of any other repro process running at the same time."""
+    from repro.parallel.shm import _segment_owner_pid, list_live_segments
+
+    pid = os.getpid()
+    return [n for n in list_live_segments() if _segment_owner_pid(n) == pid]
+
+
+def shm_entries(pattern: str = "*") -> list:
+    """``/dev/shm`` names matching ``pattern``, less the ``repro_shm_*``
+    segments other processes own; every other entry is kept, so growth
+    of any kind (semaphores from pool churn, say) still shows."""
+    from repro.parallel.shm import _segment_owner_pid
+
+    pid = os.getpid()
+    return [n for n in fnmatch.filter(os.listdir("/dev/shm"), pattern)
+            if _segment_owner_pid(n) in (None, pid)]
+
+
+@contextlib.contextmanager
+def inject_fired(**directives):
+    """``faults.inject(**directives)`` for a chunk-fault test, which must
+    prove that its fault fired: when the block is left, each kill and
+    delay directive has been taken at least once.  A fault aimed at a
+    chunk ordinal the call never runs would otherwise pass vacuously."""
+    from repro.parallel import faults
+
+    with faults.inject(**directives) as plan:
+        armed = {"kill": plan._kill_left, "delay": plan._delay_left}
+        try:
+            yield plan
+        finally:
+            left = {"kill": plan._kill_left, "delay": plan._delay_left}
+            idle = [k for k, n in armed.items() if n and left[k] == n]
+            assert not idle, f"injected {idle} never fired: {directives}"
 
 
 def random_csc(

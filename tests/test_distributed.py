@@ -274,7 +274,8 @@ class TestPromotedConformance:
             ref = summa_spgemm(A, B, grid=grid, stages=self.STAGES)
             got = summa_spgemm(
                 A, B, grid=grid, stages=self.STAGES,
-                plan=ExecutionPlan.production(executor=executor),
+                plan=ExecutionPlan.production(executor=executor,
+                                              threads=2),
             )
         assert np.isnan(ref.assemble().data).any()
         assert_bit_identical(got.assemble(), ref.assemble(), executor)
@@ -298,12 +299,17 @@ class TestPromotedConformance:
         )
 
     def test_loose_kwargs_build_promoted_plan(self):
+        from repro.parallel.executor import split_budget
+
         A, B = _operands(np.float64)
         res = summa_spgemm(
             A, B, grid=ProcessGrid(*self.GRID), stages=self.STAGES,
             backend="fast", executor="thread",
         )
-        assert res.plan.threads > 1 and res.plan.overlap
+        outer, inner = split_budget(ProcessGrid(*self.GRID).size)
+        assert res.plan.overlap and res.plan.executor == "thread"
+        assert (res.plan.rank_parallelism, res.plan.threads) == (
+            outer, inner)
         assert_bit_identical(
             res.assemble(), self._reference(np.float64), "loose kwargs"
         )
@@ -335,13 +341,13 @@ class TestPromotedChaos:
         # the resilience layer and the run must still produce the exact
         # serial-reference bytes.  The plan names shm so the kill hits
         # a worker process (in process it is an injected exception).
-        from repro.parallel import faults
+        from tests.conftest import inject_fired
 
         A, B = _operands(np.float64)
         ref = summa_spgemm(
             A, B, grid=ProcessGrid(2, 2), stages=6
         ).assemble()
-        with faults.inject(kill_chunk=0):
+        with inject_fired(kill_chunk=0):
             res = summa_spgemm(
                 A, B, grid=ProcessGrid(2, 2), stages=6,
                 plan=ExecutionPlan.production(

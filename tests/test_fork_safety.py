@@ -34,13 +34,15 @@ SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 #: timeout can kill a deadlocked process tree without taking pytest
 #: down with it.
 STRESS_SCRIPT = """\
+import os
+
 import numpy as np
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.core.api import spkadd
 from repro.generators import erdos_renyi_collection
 from repro.parallel.pools import active_pools, discard_pool
-from repro.parallel.shm import list_live_segments
+from repro.parallel.shm import _segment_owner_pid, list_live_segments
 
 
 def main():
@@ -80,7 +82,8 @@ def main():
 
     del results, res, fresh_shm, persistent_shm
     gc.collect()
-    assert list_live_segments() == []
+    assert [n for n in list_live_segments()
+            if _segment_owner_pid(n) == os.getpid()] == []
     print("STRESS-OK")
 
 

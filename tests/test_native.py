@@ -622,13 +622,32 @@ class TestPlanCache:
             spkadd(first)
         (plan,) = plans.patterns
         monkeypatch.setattr(native, "PLAN_CACHE_BYTES", 3 * plan.nbytes // 2)
-        for _ in range(2):
+        # ``first`` goes unfound for twice the entry bound of lookups,
+        # so ``second``'s plan may evict it.
+        for _ in range(2 * native.PLAN_CACHE_ENTRIES):
             spkadd(second)
         assert plans.plan_builds == 2
         assert len(plans.patterns) == 1
         assert plans.patterns[0] is not plan
         spkadd(first)
         assert plans.plan_hits == 0
+
+    def test_recent_plan_is_not_evicted_for_a_new_one(self, monkeypatch,
+                                                      plans):
+        # Two patterns whose plans do not fit together, called in turn:
+        # the first keeps its plan and the second builds none, where
+        # plain LRU would build one and evict the other on every call.
+        first = random_collection(48, 10**6, 10, 4)
+        second = random_collection(49, 10**6, 10, 4)
+        for _ in range(2):
+            spkadd(first)
+        (plan,) = plans.patterns
+        monkeypatch.setattr(native, "PLAN_CACHE_BYTES", 3 * plan.nbytes // 2)
+        for _ in range(4):
+            spkadd(second)
+            spkadd(first)
+        assert (plans.plan_builds, plans.plan_hits) == (1, 4)
+        assert [p.plan is not None for p in plans.patterns] == [False, True]
 
     def test_entry_bound_evicts(self, plans):
         colls = [random_collection(50 + i, 20, 4, 2)

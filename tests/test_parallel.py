@@ -134,9 +134,10 @@ class TestExecutor:
         res = parallel_spkadd(mats, "hash", threads=8)
         assert matrices_equal(res.matrix, sum_with_scipy(mats))
 
-    @pytest.mark.parametrize("threads, n", [(1, 64), (3, 64), (8, 5)])
+    @pytest.mark.parametrize("threads, n", [(1, 64), (2, 64), (3, 64),
+                                            (8, 5)])
     def test_fixed_chunk_count(self, monkeypatch, threads, n):
-        """Columns split into ``threads * CHUNKS_PER_THREAD`` chunks,
+        """Columns split into one chunk per worker, ``min(threads, n)``,
         never more than there are columns (empty pieces are dropped)."""
         seen = []
         stage = executor_mod._execute_stage
@@ -149,15 +150,49 @@ class TestExecutor:
         mats = random_collection(25, 200, n, 4, nnz_lo=n, nnz_hi=4 * n)
         res = parallel_spkadd(mats, "hash", threads=threads,
                               executor="serial")
-        want = threads * executor_mod.CHUNKS_PER_THREAD
+        want = min(threads, n)
         assert len(seen) == 1
         if want <= n // 4:
             assert len(seen[0]) == want
         else:
-            assert 1 <= len(seen[0]) <= n
+            assert 1 <= len(seen[0]) <= want
         assert all(j1 > j0 for j0, j1 in seen[0])
         assert seen[0][0][0] == 0 and seen[0][-1][1] == n
         assert matrices_equal(res.matrix, sum_with_scipy(mats))
+
+    @pytest.mark.parametrize("cpus, plan, gateway", [
+        (1, (1, 1), 1),
+        (2, (1, 2), 1),
+        (8, (2, 4), 4),
+    ])
+    def test_width_rule(self, monkeypatch, cpus, plan, gateway):
+        """One CPU budget split across two levels: ``outer = min(units,
+        budget)``, ``inner = max(1, budget // outer)``.  A 2x2 SUMMA grid
+        has 4 rank pipelines, the gateway 2 compute slots; explicit
+        widths are kept."""
+        import repro
+        from repro.distributed import ProcessGrid
+        from repro.generators.rmat import rmat
+        from repro.serve import GatewayConfig
+
+        monkeypatch.setattr(executor_mod, "cpu_budget", lambda: cpus)
+        A = rmat(64, 64, d=4, seed=3)
+        grid = ProcessGrid(2, 2)
+
+        def widths(**kw):
+            res = repro.summa_spgemm(A, A, grid=grid, stages=2, **kw)
+            return res.plan.threads, res.plan.rank_parallelism
+
+        assert widths(plan=repro.ExecutionPlan.production()) == plan
+        assert widths(executor="thread") == plan
+        assert widths(plan=repro.ExecutionPlan.production(
+            threads=2, rank_parallelism=2)) == (2, 2)
+        assert widths(executor="thread", threads=3) == (3, plan[1])
+        assert widths(plan=repro.ExecutionPlan.production(
+            rank_parallelism=1)) == (cpus, 1)
+        assert GatewayConfig().threads == gateway
+        assert GatewayConfig(threads=2).threads == 2
+        assert GatewayConfig(parallel_calls=1).threads == cpus
 
     def test_simulate_parallel_time_monotone(self):
         costs = np.random.default_rng(2).random(256)

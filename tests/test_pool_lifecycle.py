@@ -41,8 +41,11 @@ from repro.parallel.pools import (
     get_pool,
     shutdown_pools,
 )
-from repro.parallel.shm import list_live_segments
-from tests.conftest import assert_bit_identical, random_collection
+from tests.conftest import (
+    assert_bit_identical,
+    own_segments,
+    random_collection,
+)
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
@@ -167,7 +170,7 @@ class TestPoolRegistry:
         from repro.parallel.partition import split_weighted
         from repro.parallel.shm import SharedMemoryPool
 
-        before = list_live_segments()
+        before = own_segments()
         spawn = multiprocessing.get_context("spawn")
         engine = SharedMemoryPool(mp_context=spawn)
         mats = random_collection(67, 100, 9, 3)
@@ -185,7 +188,7 @@ class TestPoolRegistry:
         assert (2, "spawn") not in active_pools()
         del out
         gc.collect()
-        assert list_live_segments() == before
+        assert own_segments() == before
 
     def test_private_registry_context_manager(self):
         with PoolRegistry() as reg:
@@ -224,7 +227,7 @@ import time
 
 import repro.parallel.executor as ex
 from repro.generators import erdos_renyi_collection
-from repro.parallel.shm import list_live_segments
+from repro.parallel.shm import _segment_owner_pid, list_live_segments
 
 SLEEP_S = 8.0
 
@@ -248,7 +251,8 @@ def main(executor):
             f"poisoned-chunk error took {elapsed:.1f}s to propagate — "
             "the executor drained the slow sibling before raising"
         )
-        assert list_live_segments() == []
+        assert [n for n in list_live_segments()
+                if _segment_owner_pid(n) == os.getpid()] == []
         print(f"FAILFAST-OK {elapsed:.2f}s")
         sys.stdout.flush()
         # Skip interpreter teardown: the deliberately-slow chunk is
@@ -303,11 +307,11 @@ def test_worker_error_keeps_engines_usable():
     leaves the persistent engine serving the next call."""
     mats = random_collection(53, 150, 11, 4)
     ref = spkadd(mats, method="hash", threads=2, executor="thread")
-    before = list_live_segments()
+    before = own_segments()
     with pytest.raises(TypeError):
         spkadd(mats, method="hash", threads=2, executor="shm",
                definitely_not_a_kwarg=1)
-    assert list_live_segments() == before
+    assert own_segments() == before
     got = spkadd(mats, method="hash", threads=2, executor="shm")
     assert_bit_identical(ref.matrix, got.matrix)
 
@@ -332,7 +336,7 @@ def test_soak_no_resource_growth(executor):
     gc.collect()
     children = len(multiprocessing.active_children())
     fds = _fd_count()
-    segments = list_live_segments()
+    segments = own_segments()
     for _ in range(10):
         res = spkadd(mats, method="hash", threads=2, executor=executor)
         del res
@@ -341,7 +345,7 @@ def test_soak_no_resource_growth(executor):
         "worker process count grew across repeated calls"
     )
     assert _fd_count() <= fds, "open fd count grew across repeated calls"
-    assert list_live_segments() == segments, "/dev/shm entries leaked"
+    assert own_segments() == segments, "/dev/shm entries leaked"
 
 
 # ---------------------------------------------------------------------------
@@ -355,32 +359,32 @@ class TestZeroCopyLifetime:
 
     def test_result_is_segment_backed_and_bit_identical(self):
         mats = random_collection(55, 200, 13, 5)
-        before = set(list_live_segments())
+        before = set(own_segments())
         res = self.run_shm(mats)
         assert res.matrix.buffer_owner is not None
         assert res.matrix.is_shm_backed
-        live = set(list_live_segments()) - before
+        live = set(own_segments()) - before
         assert live == {res.matrix.buffer_owner.segment_name}
         ref = spkadd(mats, method="hash", threads=3, executor="thread")
         assert_bit_identical(ref.matrix, res.matrix)
 
     def test_segment_unlinks_when_last_reference_dies(self):
         mats = random_collection(56, 200, 13, 5)
-        before = set(list_live_segments())
+        before = set(own_segments())
         res = self.run_shm(mats)
         name = res.matrix.buffer_owner.segment_name
-        assert name in list_live_segments()
+        assert name in own_segments()
         # A derived NumPy view (not the matrix, not the base array)
         # must keep the segment alive on its own.
         tail = res.matrix.indices[5:]
         expect = res.matrix.indices[5:].copy()
         del res
         gc.collect()
-        assert name in list_live_segments(), "segment died under a live view"
+        assert name in own_segments(), "segment died under a live view"
         assert np.array_equal(tail, expect)  # still readable
         del tail
         gc.collect()
-        assert name not in list_live_segments(), "segment outlived its views"
+        assert name not in own_segments(), "segment outlived its views"
 
     def test_col_view_marks_shared_backing(self):
         mats = random_collection(57, 150, 12, 4)
@@ -398,7 +402,7 @@ class TestZeroCopyLifetime:
         assert private.materialize() is private  # already private: no-op
         del res
         gc.collect()
-        assert name not in list_live_segments()
+        assert name not in own_segments()
         assert private.nnz >= 0  # still fully usable after the segment died
 
     def test_stale_results_env_is_ignored(self, monkeypatch):
@@ -428,7 +432,7 @@ class TestZeroCopyLifetime:
         name = res.matrix.buffer_owner.segment_name
         del res
         gc.collect()
-        assert name not in list_live_segments()
+        assert name not in own_segments()
         assert clone.nnz >= 0  # private copy survives the segment
 
     def test_sort_indices_drops_shared_backing(self):

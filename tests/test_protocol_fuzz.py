@@ -23,7 +23,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.formats.csc import CSCMatrix
-from repro.parallel.shm import list_live_segments
 from repro.serve import GatewayConfig, start_in_thread
 from repro.serve import protocol
 from repro.serve.protocol import (
@@ -36,7 +35,7 @@ from repro.serve.protocol import (
     pack_matrices,
     unpack_matrices,
 )
-from tests.conftest import random_collection
+from tests.conftest import own_segments, random_collection
 
 FUZZ = dict(
     deadline=None, max_examples=150,
@@ -159,7 +158,7 @@ def mangled_request(draw):
 @given(mangled_request())
 def test_unpack_matrices(request):
     shape, entries, payload = request
-    before = list_live_segments()
+    before = own_segments()
     with AttachedSegments() as attachments:
         try:
             mats = unpack_matrices(shape, entries, payload, attachments)
@@ -169,7 +168,7 @@ def test_unpack_matrices(request):
             assert isinstance(A, CSCMatrix)
             A.validate()
         del mats
-    assert list_live_segments() == before
+    assert own_segments() == before
 
 
 @pytest.mark.parametrize("shape", [
@@ -193,7 +192,7 @@ def test_live_gateway_drops_a_truncated_frame():
         socket_path=f"/tmp/repro-gw-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
         threads=2, batch_window_s=0.05,
     )
-    before = list_live_segments()
+    before = own_segments()
     with start_in_thread(cfg):
         frame = encode_frame({"op": "ping", "id": 1})
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -217,4 +216,4 @@ def test_live_gateway_drops_a_truncated_frame():
             header, _ = decode_frame_parts(
                 tag, reply[PREFIX_BYTES:PREFIX_BYTES + h], b"")
             assert header.get("code") == "invalid", header
-    assert list_live_segments() == before
+    assert own_segments() == before

@@ -51,12 +51,13 @@ from repro.parallel.resilience import (
     resolve_policy,
     run_wave,
 )
-from repro.parallel.shm import (
-    SEGMENT_PREFIX,
-    list_live_segments,
-    sweep_orphans,
+from repro.parallel.shm import SEGMENT_PREFIX, sweep_orphans
+from tests.conftest import (
+    assert_bit_identical,
+    inject_fired,
+    own_segments,
+    random_collection,
 )
-from tests.conftest import assert_bit_identical, random_collection
 
 
 def baseline_result(mats, **kw):
@@ -193,10 +194,10 @@ class TestKillRetry:
         self, mats, executor, backend
     ):
         base = baseline_result(mats, backend=backend)
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # recovery must not degrade
-            with faults.inject(kill_chunk=1):
+            with inject_fired(kill_chunk=1):
                 res = spkadd(
                     mats, method="hash", threads=2, executor=executor,
                     backend=backend,
@@ -206,7 +207,7 @@ class TestKillRetry:
         )
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
 
     def test_kill_leaves_no_children_fds_segments(self, mats):
         base = baseline_result(mats)
@@ -214,15 +215,15 @@ class TestKillRetry:
         spkadd(mats, method="hash", threads=2, executor="shm")
         children = len(multiprocessing.active_children())
         fds = open_fds()
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         for trial in range(3):
-            with faults.inject(kill_chunk=trial % 2):
+            with inject_fired(kill_chunk=trial % 2):
                 res = spkadd(mats, method="hash", threads=2,
                              executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"trial {trial}")
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
         assert len(multiprocessing.active_children()) <= children
         # A couple of fds of slack: the pool rebuild may settle its pipes
         # lazily, but repeated recoveries must not accumulate.
@@ -232,26 +233,26 @@ class TestKillRetry:
         """Satellite regression: a SIGKILLed worker mid-scatter must not
         leak the output segment — ``/dev/shm`` returns to baseline."""
         base = baseline_result(mats)
-        seg_before = list_live_segments()
-        with faults.inject(kill_chunk=0, delay_chunk=0, delay_s=0.05):
+        seg_before = own_segments()
+        with inject_fired(kill_chunk=0, delay_chunk=0, delay_s=0.05):
             res = spkadd(mats, method="hash", threads=2, executor="shm")
         assert_bit_identical(res.matrix, base.matrix, "post-SIGKILL")
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
 
     def test_thread_injected_transient_retried(self, mats):
         base = baseline_result(mats)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with faults.inject(kill_chunk=2):  # degrades to a raise
+            with inject_fired(kill_chunk=1):  # degrades to a raise
                 res = spkadd(mats, method="hash", threads=2,
                              executor="thread")
         assert_bit_identical(res.matrix, base.matrix, "thread retry")
 
     def test_serial_injected_transient_retried(self, mats):
         base = baseline_result(mats)
-        with faults.inject(kill_chunk=0):
+        with inject_fired(kill_chunk=0):
             res = spkadd(mats, method="hash", threads=2, executor="serial")
         assert_bit_identical(res.matrix, base.matrix, "serial retry")
 
@@ -283,7 +284,7 @@ class TestKillRetry:
         monkeypatch.setattr(BaseProcess, "terminate", slow_terminate)
 
         base = baseline_result(mats)
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         engine = shm._DEFAULT_ENGINE
         lease_pool = engine._lease_pool
         broken_pids = set()
@@ -308,7 +309,7 @@ class TestKillRetry:
 
         monkeypatch.setattr(engine, "_lease_pool", recording_lease)
         monkeypatch.setattr(symbolic, "chunk_output_layout", checked_layout)
-        with faults.inject(kill_chunk=1, delay_chunk=0, delay_s=0.2):
+        with inject_fired(kill_chunk=1, delay_chunk=0, delay_s=0.2):
             res = spkadd(mats, method="hash", threads=2, executor="shm")
         assert broken_pids, "the injected kill did not break the pool"
         assert alive_at_layout == []
@@ -319,18 +320,30 @@ class TestKillRetry:
         del res
         gc.collect()
         if materialize:  # the copy holds no segment
-            assert list_live_segments() == seg_before
+            assert own_segments() == seg_before
         assert_bit_identical(out, base.matrix, "stale writer")
         del out
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
 
     def test_env_fault_plan_fresh_per_call(self, mats, monkeypatch):
         base = baseline_result(mats)
+        # Warm: a first shm call boots the fork server, which reads the
+        # fault plan too.
+        spkadd(mats, method="hash", threads=2, executor="shm")
+        parse, plans = faults.parse_plan, []
+
+        def recording(raw):
+            plans.append(parse(raw))
+            return plans[-1]
+
+        monkeypatch.setattr(faults, "parse_plan", recording)
         monkeypatch.setenv(faults.FAULTS_ENV_VAR, "kill_chunk=0")
         for call in range(2):  # fresh counters: both calls are faulted
             res = spkadd(mats, method="hash", threads=2, executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"env call {call}")
+        assert len(plans) == 2
+        assert [p._kill_left for p in plans] == [0, 0], "a kill never fired"
 
     def test_deterministic_errors_not_retried(self, mats):
         """PR 5 fail-fast contract: a deterministic chunk error is never
@@ -348,8 +361,9 @@ class TestKillRetry:
                 spkadd(mats, method="hash", threads=2, executor="thread")
         finally:
             executor_mod._run_chunk = original
-        # Fail-fast: at most one submission wave, no per-chunk retries.
-        assert len(calls) <= 8
+        # Fail-fast: at most one submission wave (one chunk per worker),
+        # no per-chunk retries.
+        assert len(calls) <= 2
 
 
 # ---------------------------------------------------------------------------
@@ -363,16 +377,16 @@ class TestDeadline:
         # Warm pools first so the measured window is the wait, not a boot.
         spkadd(mats, method="hash", threads=2, executor=executor)
         warm_pools = {id(p) for (t, _), p in active_pools().items() if t == 2}
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         t0 = time.monotonic()
         with pytest.raises(DeadlineExceeded):
-            with faults.inject(delay_chunk=0, delay_s=3.0):
+            with inject_fired(delay_chunk=0, delay_s=3.0):
                 spkadd(mats, method="hash", threads=2, executor=executor,
                        deadline=0.5)
         elapsed = time.monotonic() - t0
         assert elapsed < 1.0, f"deadline held {elapsed:.2f}s (2x bound)"
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
         # The abandoned chunk's worker must not hold up later calls or
         # exit: its shm pool is discarded, so the next call gets a fresh
         # one instead of queueing behind the rest of the 3 s delay.
@@ -386,19 +400,19 @@ class TestDeadline:
                              "after deadline")
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
 
     def test_deadline_env_var(self, mats, monkeypatch):
         monkeypatch.setenv(DEADLINE_ENV_VAR, "0.4")
         with pytest.raises(DeadlineExceeded):
-            with faults.inject(delay_chunk=0, delay_s=3.0):
+            with inject_fired(delay_chunk=0, delay_s=3.0):
                 spkadd(mats, method="hash", threads=2, executor="thread")
 
     def test_deadline_not_swallowed_by_fallback(self, mats):
         """An expired budget fails the call — it must not trigger a
         (slower) fallback stage."""
         with pytest.raises(DeadlineExceeded):
-            with faults.inject(delay_chunk=0, delay_s=3.0):
+            with inject_fired(delay_chunk=0, delay_s=3.0):
                 spkadd(mats, method="hash", threads=2, executor="thread",
                        deadline=0.3)
 
@@ -423,7 +437,7 @@ class TestFallback:
         base = baseline_result(mats)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with faults.inject(kill_chunk=0, kill_count=2):
+            with inject_fired(kill_chunk=0, kill_count=2):
                 res = spkadd(
                     mats, method="hash", threads=2, executor="shm",
                     resilience=ResiliencePolicy(max_retries=0),
@@ -436,7 +450,7 @@ class TestFallback:
         assert sum("unusable" in m for m in messages) == 1
 
     def test_fallback_off_raises_typed(self, mats):
-        with faults.inject(kill_chunk=0, kill_count=10):
+        with inject_fired(kill_chunk=0, kill_count=10):
             with pytest.raises(RetriesExhausted) as exc:
                 spkadd(
                     mats, method="hash", threads=2, executor="shm",
@@ -448,13 +462,13 @@ class TestFallback:
     def test_fallback_env_off(self, mats, monkeypatch):
         monkeypatch.setenv(FALLBACK_ENV_VAR, "off")
         monkeypatch.setenv(MAX_RETRIES_ENV_VAR, "0")
-        with faults.inject(kill_chunk=0, kill_count=10):
+        with inject_fired(kill_chunk=0, kill_count=10):
             with pytest.raises(RetriesExhausted):
                 spkadd(mats, method="hash", threads=2, executor="shm")
 
     def test_enospc_falls_back_clean(self, mats, no_warn_flag):
         base = baseline_result(mats)
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             with faults.inject(enospc=1):
@@ -463,7 +477,7 @@ class TestFallback:
         assert any("unusable" in str(w.message) for w in caught)
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
 
     def test_boot_timeout_typed(self, monkeypatch):
         monkeypatch.setattr(executor_mod, "_FORKSERVER_BOOTED", False)
@@ -666,20 +680,20 @@ class TestChaosSoak:
         spkadd(mats, method="hash", threads=2, executor="shm")  # warm
         children = len(multiprocessing.active_children())
         fds = open_fds()
-        seg_before = list_live_segments()
+        seg_before = own_segments()
         plans = [
             dict(kill_chunk=0),
             dict(kill_chunk=1, delay_chunk=0, delay_s=0.2),
             dict(delay_chunk=1, delay_s=0.01),
-            dict(kill_chunk=3, delay_chunk=0, delay_s=0.01),
+            dict(kill_chunk=1, delay_chunk=1, delay_s=0.01),
         ]
         for trial, plan in enumerate(plans * 2):
-            with faults.inject(**plan):
+            with inject_fired(**plan):
                 res = spkadd(mats, method="hash", threads=2,
                              executor="shm")
             assert_bit_identical(res.matrix, base.matrix, f"soak {trial}")
         del res
         gc.collect()
-        assert list_live_segments() == seg_before
+        assert own_segments() == seg_before
         assert len(multiprocessing.active_children()) <= children
         assert open_fds() <= fds + 4

@@ -6,7 +6,6 @@ lets ``faults.inject`` reach the gateway's kernel calls — the chaos
 legs drive real worker faults through the service path.
 """
 
-import glob
 import os
 import threading
 import time
@@ -16,7 +15,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.parallel import faults
 from repro.serve import (
     GatewayClient,
     GatewayConfig,
@@ -25,7 +23,12 @@ from repro.serve import (
     start_in_thread,
 )
 from repro.serve.batcher import BatchKey, fuse_requests, split_result
-from tests.conftest import assert_bit_identical, random_collection
+from tests.conftest import (
+    assert_bit_identical,
+    inject_fired,
+    random_collection,
+    shm_entries,
+)
 
 
 def _sock() -> str:
@@ -190,7 +193,7 @@ def test_shm_response_and_release():
         mats = random_collection(seed=11, m=512, n=24, k=4)
         expect = repro.spkadd(mats).matrix
         res = gw.submit(mats, response="shm")
-        seg = glob.glob("/dev/shm/repro*")
+        seg = shm_entries("repro*")
         assert seg, "shm response should live in a repro segment"
         assert_bit_identical(res.materialize(), expect, "shm response")
         res.release()
@@ -254,26 +257,27 @@ def test_queue_overflow_sheds_with_typed_error():
         errs, done = [], []
 
         def slow_submit():
-            with faults.inject(delay_chunk=0, delay_s=1.5):
-                with GatewayClient(cfg.socket_path) as gw:
-                    done.append(gw.submit(mats))
-
-        t = threading.Thread(target=slow_submit)
-        t.start()
-        try:
             with GatewayClient(cfg.socket_path) as gw:
-                deadline = time.monotonic() + 5
-                while time.monotonic() < deadline:
-                    if gw.stats()["in_flight"] >= 1:
-                        break
-                    time.sleep(0.01)
-                else:
-                    pytest.fail("first request never became in-flight")
-                with pytest.raises(ShedError, match="capacity"):
-                    gw.submit(mats)
-                assert gw.stats()["shed"] == 1
-        finally:
-            t.join()
+                done.append(gw.submit(mats))
+
+        # The plan is process-wide: only the slow request runs a kernel.
+        with inject_fired(delay_chunk=0, delay_s=1.5):
+            t = threading.Thread(target=slow_submit)
+            t.start()
+            try:
+                with GatewayClient(cfg.socket_path) as gw:
+                    deadline = time.monotonic() + 5
+                    while time.monotonic() < deadline:
+                        if gw.stats()["in_flight"] >= 1:
+                            break
+                        time.sleep(0.01)
+                    else:
+                        pytest.fail("first request never became in-flight")
+                    with pytest.raises(ShedError, match="capacity"):
+                        gw.submit(mats)
+                    assert gw.stats()["shed"] == 1
+            finally:
+                t.join(timeout=30)
         assert len(done) == 1  # the slow request still completed
 
 
@@ -284,13 +288,44 @@ def test_deadline_expires_with_typed_error_within_2x():
     cfg = _config(batch_max=1, batch_window_s=0.0)
     with start_in_thread(cfg), GatewayClient(cfg.socket_path) as gw:
         mats = random_collection(seed=23, m=256, n=16, k=3)
-        with faults.inject(delay_chunk=0, delay_s=30.0):
+        with inject_fired(delay_chunk=0, delay_s=30.0):
             t0 = time.monotonic()
             with pytest.raises(repro.DeadlineExceeded):
                 gw.submit(mats, deadline_s=budget)
             elapsed = time.monotonic() - t0
         assert elapsed < 2 * budget, f"deadline overran: {elapsed:.2f}s"
         assert gw.stats()["deadline_expired"] == 1
+
+
+@pytest.mark.parametrize("executor", ["thread", "shm"])
+def test_default_threads_call_honours_its_deadline(monkeypatch, executor):
+    """On a 2-CPU budget ``GatewayConfig()`` runs its kernel calls at
+    threads=1; they still run on ``REPRO_EXECUTOR``'s executor and end
+    at the request's deadline."""
+    from repro.parallel import executor as executor_mod
+    from repro.parallel.pools import active_pools, shutdown_pools
+
+    monkeypatch.setattr(executor_mod, "cpu_budget", lambda: 2)
+    monkeypatch.setenv("REPRO_EXECUTOR", executor)
+    shutdown_pools()
+    budget = 0.4
+    cfg = GatewayConfig(socket_path=_sock(), batch_max=1, batch_window_s=0.0)
+    assert cfg.threads == 1
+    mats = random_collection(seed=24, m=256, n=16, k=3)
+    with start_in_thread(cfg), GatewayClient(cfg.socket_path) as gw:
+        stats = gw.stats()
+        assert (stats["executor"], stats["threads"]) == (executor, 1)
+        assert_bit_identical(gw.submit(mats), repro.spkadd(mats).matrix,
+                             f"default threads on {executor}")
+        assert bool(active_pools()) == (executor == "shm")
+        with inject_fired(delay_chunk=0, delay_s=30.0):
+            t0 = time.monotonic()
+            with pytest.raises(repro.DeadlineExceeded):
+                gw.submit(mats, deadline_s=budget)
+            elapsed = time.monotonic() - t0
+        assert elapsed < 2 * budget, f"deadline overran: {elapsed:.2f}s"
+        assert gw.stats()["deadline_expired"] == 1
+    shutdown_pools()
 
 
 def test_batch_survives_one_members_tight_deadline():
@@ -337,7 +372,7 @@ def test_injected_worker_fault_recovers_bit_identical():
     cfg = _config(batch_max=1)
     with start_in_thread(cfg), GatewayClient(cfg.socket_path) as gw:
         mats = random_collection(seed=24, m=256, n=16, k=3)
-        with faults.inject(kill_chunk=0):
+        with inject_fired(kill_chunk=0):
             got = gw.submit(mats)
         assert_bit_identical(got, repro.spkadd(mats).matrix, "post-fault")
 
@@ -374,7 +409,7 @@ def test_soak_no_fd_shm_or_child_growth():
         for _ in range(5):  # warm-up: pools, lazy imports, socket
             gw.submit(mats)
         fd0 = len(os.listdir("/proc/self/fd"))
-        shm0 = len(glob.glob("/dev/shm/*"))
+        shm0 = len(shm_entries())
         kids0 = len(multiprocessing.active_children())
         for i in range(60):
             if i % 3 == 2:
@@ -385,7 +420,7 @@ def test_soak_no_fd_shm_or_child_growth():
                 assert_bit_identical(gw.submit(mats), expect, "soak")
         time.sleep(0.2)  # let fire-and-forget releases land
         assert len(os.listdir("/proc/self/fd")) <= fd0 + 2
-        assert len(glob.glob("/dev/shm/*")) <= shm0
+        assert len(shm_entries()) <= shm0
         assert len(multiprocessing.active_children()) <= kids0
         stats = gw.stats()
         assert stats["in_flight"] == 0
@@ -398,17 +433,17 @@ def test_disconnect_releases_shm_leases():
         mats = random_collection(seed=42, m=256, n=16, k=3)
         with GatewayClient(cfg.socket_path) as gw:
             res = gw.submit(mats, response="shm")
-            name = glob.glob("/dev/shm/repro*")
+            name = shm_entries("repro*")
             assert name
             res.matrix = None  # drop views without sending release
             res._attachments.close()
         # connection closed with the lease outstanding
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
-            if not glob.glob("/dev/shm/repro*"):
+            if not shm_entries("repro*"):
                 break
             time.sleep(0.05)
-        assert not glob.glob("/dev/shm/repro*"), "lease leaked"
+        assert not shm_entries("repro*"), "lease leaked"
 
 
 def test_gateway_default_runs_in_process():

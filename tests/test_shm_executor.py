@@ -30,11 +30,11 @@ from repro.parallel.partition import split_weighted
 from repro.parallel.shm import (
     SegmentRegistry,
     SharedMemoryPool,
-    list_live_segments,
     shm_parallel_run,
 )
 from tests.conftest import (
     assert_bit_identical,
+    own_segments,
     random_collection,
     shuffle_columns,
 )
@@ -270,11 +270,11 @@ class TestShmLifecycle:
         import gc
 
         mats = random_collection(35, 200, 13, 5)
-        before = list_live_segments()
+        before = own_segments()
         res = run(mats, "shm")
         del res
         gc.collect()
-        assert list_live_segments() == before
+        assert own_segments() == before
 
     def test_non_float64_runs_clean_no_worker_error(self):
         """float32 (and exact int64) through the shm engine: the old
@@ -285,34 +285,34 @@ class TestShmLifecycle:
 
         for dtype in (np.float32, np.int64):
             mats = TestConformance.dtype_collection([dtype] * 4, seed=91)
-            before = list_live_segments()
+            before = own_segments()
             got = run(mats, "shm")  # previously raised RuntimeError
             assert got.matrix.data.dtype == np.dtype(dtype)
             assert_bit_identical(got.matrix, run(mats, "thread").matrix)
             del got
             gc.collect()
-            assert list_live_segments() == before
+            assert own_segments() == before
 
     def test_no_segments_after_worker_exception(self):
         mats = random_collection(36, 200, 13, 5)
-        before = list_live_segments()
+        before = own_segments()
         with pytest.raises(TypeError):
             # An unknown kernel kwarg raises inside the worker, after
             # the engine has created its segments.
             spkadd(mats, method="hash", threads=2, executor="shm",
                    definitely_not_a_kwarg=1)
-        assert list_live_segments() == before
+        assert own_segments() == before
         # The engine (and its persistent pool) must stay usable.
         res = run(mats, "shm")
         assert_bit_identical(res.matrix, run(mats, "thread").matrix)
 
     def test_registry_context_manager_unlinks(self):
-        before = list_live_segments()
+        before = own_segments()
         with SegmentRegistry() as reg:
             specs = reg.publish([np.arange(10), np.ones(3)])
-            assert len(list_live_segments()) == len(before) + 1
+            assert len(own_segments()) == len(before) + 1
             assert np.array_equal(reg.view(specs[0]), np.arange(10))
-        assert list_live_segments() == before
+        assert own_segments() == before
 
     def test_spawn_start_method(self):
         # Spec handles travel by name+offset only, so the engine must
@@ -343,7 +343,7 @@ class TestShmLifecycle:
 
         del out
         gc.collect()
-        assert list_live_segments() == []
+        assert own_segments() == []
 
 
 class TestExecutorSelection:

@@ -35,8 +35,12 @@ from repro.formats.csc import CSCMatrix
 from repro.kernels import native
 from repro.parallel import executor as executor_mod
 from repro.parallel.resilience import ChunkInvariantError
-from repro.parallel.shm import list_live_segments
-from tests.conftest import assert_bit_identical, random_collection
+from tests.conftest import (
+    assert_bit_identical,
+    inject_fired,
+    own_segments,
+    random_collection,
+)
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 REPO_DIR = str(Path(__file__).resolve().parents[1])
@@ -128,19 +132,19 @@ import sys
 
 import repro.parallel.executor as ex
 from repro.parallel.resilience import ChunkInvariantError
-from repro.parallel.shm import list_live_segments
+from tests.conftest import own_segments
 from tests.test_slot_writer import invariant_case
 
 
 def main(case):
     mats, fake, kw, fragment = invariant_case(case)
-    before = list_live_segments()
+    before = own_segments()
     ex._run_chunk = fake
     try:
         ex.parallel_spkadd(mats, "hash", threads=2, executor="shm", **kw)
     except ChunkInvariantError as err:
         assert fragment in str(err), err
-        assert list_live_segments() == before, list_live_segments()
+        assert own_segments() == before, own_segments()
         print("INVARIANT-OK")
     else:
         raise SystemExit("the shm stage accepted a broken chunk")
@@ -253,8 +257,6 @@ def test_thread_retry_joins_stale_writer(monkeypatch):
     write its slot over the compacted (or shrunk) output."""
     import time
 
-    from repro.parallel import faults
-
     mats = random_collection(75, 400, 32, 5)
     ref = spkadd(mats).matrix
     finished = []
@@ -266,7 +268,7 @@ def test_thread_retry_joins_stale_writer(monkeypatch):
 
     monkeypatch.setattr(executor_mod, "_run_chunk", timed)
     delay_s = 0.3
-    with faults.inject(kill_chunk=0, delay_chunk=2, delay_s=delay_s):
+    with inject_fired(kill_chunk=0, delay_chunk=1, delay_s=delay_s):
         got = spkadd(mats, threads=2, executor="thread").matrix
     returned = time.perf_counter()
     time.sleep(delay_s)

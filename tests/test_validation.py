@@ -33,7 +33,7 @@ from repro.parallel.resilience import (
     validate_resilience_env,
 )
 from repro.serve import GatewayConfig
-from tests.conftest import random_collection
+from tests.conftest import own_segments, random_collection
 
 
 @pytest.fixture()
@@ -85,12 +85,10 @@ def test_threads_one_still_runs(mats):
         "parallel-shm-materialize", "plan-materialize",
         "production-materialize", "gateway-executor"])
 def test_removed_options_are_refused(mats, call, option):
-    from repro.parallel.shm import list_live_segments
-
-    before = list_live_segments()
+    before = own_segments()
     with pytest.raises(TypeError, match=option):
         call(mats)
-    assert list_live_segments() == before
+    assert own_segments() == before
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -259,14 +257,12 @@ def _addends_with_bad_row():
 def test_out_of_range_row_is_typed_on_every_method(method, executor):
     import gc
 
-    from repro.parallel.shm import list_live_segments
-
     kwargs = {} if executor == "serial" else {
         "threads": 2, "executor": executor}
-    before = list_live_segments()
+    before = own_segments()
     with pytest.raises(
         ValueError, match=r"addend 1 has row index 7 outside \[0, 4\)"
     ):
         repro.spkadd(_addends_with_bad_row(), method=method, **kwargs)
     gc.collect()
-    assert list_live_segments() == before
+    assert own_segments() == before
